@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 
@@ -83,6 +84,17 @@ def _tracing(args: argparse.Namespace):
         return
     print(f"\ntelemetry trace written to {path} "
           f"({len(tel.tracer.finished)} spans, {len(tel.registry)} metrics)")
+
+
+def _positive_mw(text: str) -> float:
+    """argparse type for a load in MW: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
 
 
 def _cmd_lmp_sweep(args: argparse.Namespace) -> int:
@@ -1010,8 +1022,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_lmp = sub.add_parser("lmp-sweep", help="PJM 5-bus LMP step curves (Fig. 1)")
-    p_lmp.add_argument("--max-load", type=float, default=900.0)
-    p_lmp.add_argument("--step", type=float, default=25.0)
+    p_lmp.add_argument("--max-load", type=_positive_mw, default=900.0)
+    p_lmp.add_argument("--step", type=_positive_mw, default=25.0)
     p_lmp.set_defaults(func=_cmd_lmp_sweep)
 
     common = argparse.ArgumentParser(add_help=False)

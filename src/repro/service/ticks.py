@@ -34,6 +34,7 @@ multiplicative random walk. :func:`build_ticks` maps a plain-dict spec
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,10 +80,15 @@ class Tick:
             raise ValueError(f"unknown tick kind {self.kind!r}")
         if self.kind == "price" and self.site is None:
             raise ValueError("price ticks must name a site")
-        if self.time_s < 0:
-            raise ValueError("tick time must be >= 0")
-        if self.value < 0:
-            raise ValueError("tick value must be >= 0")
+        # `nan < 0` is false: a bare sign check would let NaN through.
+        if not (math.isfinite(self.time_s) and self.time_s >= 0):
+            raise ValueError(
+                f"tick time must be finite and >= 0, got {self.time_s!r}"
+            )
+        if not (math.isfinite(self.value) and self.value >= 0):
+            raise ValueError(
+                f"tick value must be finite and >= 0, got {self.value!r}"
+            )
 
     def to_dict(self) -> dict:
         return {

@@ -24,6 +24,20 @@ class TestTick:
         with pytest.raises(ValueError):
             Tick(seq=0, time_s=0.0, kind="weather", value=1.0)
 
+    @pytest.mark.parametrize(
+        ("time_s", "value"),
+        [
+            (float("nan"), 1.0),
+            (float("inf"), 1.0),
+            (0.0, float("nan")),
+            (0.0, float("inf")),
+            (float("inf"), float("nan")),
+        ],
+    )
+    def test_non_finite_time_or_value_rejected(self, time_s, value):
+        with pytest.raises(ValueError, match="finite"):
+            Tick(seq=0, time_s=time_s, kind="lambda", value=value)
+
     def test_to_dict_round_trips_through_json(self):
         import json
 

@@ -59,6 +59,24 @@ class TestCommands:
         assert "LMP B" in out
         assert "10.00" in out
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--step", "0"],
+            ["--step", "-5"],
+            ["--step", "nan"],
+            ["--step", "inf"],
+            ["--max-load", "inf"],
+            ["--max-load", "nan"],
+        ],
+    )
+    def test_lmp_sweep_rejects_bad_numbers(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lmp-sweep", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flags[0]}: must be finite and > 0" in err
+
     def test_simulate_min_only_short(self, capsys):
         assert main(["simulate", "--strategy", "min-only-avg", "--hours", "3"]) == 0
         out = capsys.readouterr().out
