@@ -5,9 +5,10 @@ writes ``BENCH_service.json`` at the repo root (companion of
 ``BENCH_solver.json`` and ``BENCH_vectorized.json``). Tracked numbers:
 
 * **decisions per second** — sustained dispatch throughput of the
-  asyncio service free-running a bursty storm (every tick crosses the
-  λ-delta threshold, so this measures the full observe → dispatch →
-  realize path, not tick parsing);
+  in-process control plane (``repro serve`` without ``--workers``)
+  free-running a bursty storm (every tick crosses the λ-delta
+  threshold, so this measures the full observe → dispatch → realize
+  path, not tick parsing);
 * **decision latency** — p50/p99 wall time of one ``on_tick`` call
   that produced a decision (solver + ground-truth realization);
 * **push latency** — p50/p99 wall time from the control loop producing
@@ -29,9 +30,10 @@ writes ``BENCH_service.json`` at the repo root (companion of
   back-pressuring the loop.
 
 The harness also replays the identical storm through the synchronous
-:func:`~repro.service.run_serial` reference and asserts the two
-decision logs are byte-identical — the determinism contract that makes
-the service's numbers trustworthy (``serial_async_identical``).
+:func:`~repro.service.run_serial` reference (one
+:class:`~repro.service.ControlLoop` over every site) and asserts the
+two decision logs are byte-identical — the determinism contract that
+makes the plane's numbers trustworthy (``serial_async_identical``).
 
 Run as a script: ``PYTHONPATH=src python benchmarks/bench_service.py
 [--quick]``. CI runs quick mode and validates the JSON shape.
@@ -67,40 +69,51 @@ CRITERIA = {
 }
 
 
-def _storm(hours: int, ticks_per_hour: int, seed: int):
-    """A bursty tick storm plus the world/loop factory driving it."""
-    from repro.experiments import paper_world
-    from repro.service import TriggerPolicy, bursty_ticks
-    from repro.sim.engine import Engine
+def _storm_spec(hours: int, ticks_per_hour: int, seed: int) -> dict:
+    """The plane spec of a bursty tick storm over the paper world."""
+    return {
+        "world": {"kind": "paper", "policy": 1, "seed": 7},
+        "source": {
+            "kind": "bursty", "ticks_per_hour": ticks_per_hour,
+            "hours": hours, "seed": seed, "ca2": 6.0, "price_jitter": 0.04,
+            "sites": ["DC1", "DC2", "DC3"],
+        },
+        "strategy": "capping",
+        "trigger": {
+            "lambda_delta": 0.02, "price_delta": 0.02,
+            "debounce_s": 60.0, "max_staleness_s": 900.0,
+        },
+        "degradation": "proportional",
+        "horizon": hours,
+        "monthly_budget": 2_000_000.0,
+    }
 
-    world = paper_world(policy_id=1, seed=7)
-    engine = Engine(world.sites, world.workload, world.mix)
-    ticks = bursty_ticks(
-        world.workload,
-        ticks_per_hour=ticks_per_hour,
-        hours=hours,
-        ca2=6.0,
-        price_jitter=0.04,
-        sites=tuple(s.name for s in world.sites),
-        seed=seed,
+
+def _storm_plane(spec: dict, log, **kwargs):
+    """The in-process plane over ``spec``, logging to ``log``."""
+    from repro.service import ShardedControlPlane
+
+    return ShardedControlPlane(
+        spec, decision_log=log, http=False, handle_signals=False, **kwargs
     )
-    trigger = TriggerPolicy(
-        lambda_delta=0.02, price_delta=0.02,
-        debounce_s=60.0, max_staleness_s=900.0,
+
+
+def _serial_events(plane, spec: dict):
+    """``run_serial`` over one loop on the plane's own engine.
+
+    The plane's one region drives that same engine, so this reference
+    run also warms its memos for a timed run that follows.
+    """
+    from repro.service import ControlLoop, TriggerPolicy, run_serial
+
+    loop = ControlLoop(
+        plane.engine,
+        spec["strategy"],
+        trigger=TriggerPolicy(**spec["trigger"]),
+        budgeter=plane.world.budgeter(spec["monthly_budget"]),
+        hours=spec["horizon"],
     )
-    return world, engine, ticks, trigger
-
-
-def _make_loop(world, engine, trigger, hours: int):
-    from repro.service import ControlLoop
-
-    return ControlLoop(
-        engine,
-        "capping",
-        trigger=trigger,
-        budgeter=world.budgeter(2_000_000.0),
-        hours=hours,
-    )
+    return run_serial(loop, plane.driver.ticks)
 
 
 def _percentile(sorted_vals, q: float) -> float:
@@ -132,43 +145,38 @@ def _staleness(ticks, events, max_staleness_s: float) -> dict:
 def _tick_storm_case(quick: bool) -> dict:
     import tempfile
 
-    from repro.service import ControlPlaneService, run_serial
-
     hours = 6 if quick else 24
     ticks_per_hour = 30 if quick else 60
-    world, engine, ticks, trigger = _storm(hours, ticks_per_hour, seed=3)
+    spec = _storm_spec(hours, ticks_per_hour, seed=3)
+    log = pathlib.Path(tempfile.mkdtemp(prefix="bench_service_")) / "log.jsonl"
+    plane = _storm_plane(spec, log)
 
     # Reference: synchronous serial drive (also warms the engine memos
-    # so the async timing below measures dispatch, not memo building).
-    serial_loop = _make_loop(world, engine, trigger, hours)
-    serial_events = run_serial(serial_loop, ticks)
+    # so the timing below measures dispatch, not memo building).
+    serial_events = _serial_events(plane, spec)
     serial_log = [e.to_json() for e in serial_events]
 
-    # Timed: the asyncio service free-running the same storm, writing
+    # Timed: the in-process plane free-running the same storm, writing
     # its real decision log so the identity check covers the wire
-    # format, not just the in-memory events. Runs with the read model
-    # enabled (``sse=True``) so the push path is part of the measured
-    # loop and its latency is sampled.
-    log = pathlib.Path(tempfile.mkdtemp(prefix="bench_service_")) / "log.jsonl"
-    async_loop = _make_loop(world, engine, trigger, hours)
-    service = ControlPlaneService(
-        async_loop, ticks, http=False, decision_log=log,
-        handle_signals=False, sse=True,
-    )
+    # format, not just the in-memory events. Every decision is also
+    # published to the read model, so the push path is part of the
+    # measured loop and its latency is sampled.
     t0 = time.perf_counter()
-    asyncio.run(service.run())
+    summary = plane.run()
     wall_s = time.perf_counter() - t0
 
     identical = log.read_text().splitlines() == serial_log
 
-    lat = sorted(service.decide_wall_s)
-    push = sorted(service.readmodel.push_latency_s)
+    lat = sorted(plane.decide_wall_s)
+    push = sorted(plane.readmodel.push_latency_s)
     push_p99_ms = _percentile(push, 0.99) * 1e3
-    staleness = _staleness(ticks, serial_events, trigger.max_staleness_s)
-    decisions = async_loop.decisions
+    staleness = _staleness(
+        plane.driver.ticks, serial_events, spec["trigger"]["max_staleness_s"]
+    )
+    decisions = summary["decisions"]
     return {
         "hours": hours,
-        "ticks": service.ticks_processed,
+        "ticks": plane.driver.ticks_processed,
         "decisions": decisions,
         "wall_s": wall_s,
         "decisions_per_s": decisions / wall_s if wall_s > 0 else 0.0,
@@ -191,56 +199,36 @@ def _tick_storm_case(quick: bool) -> dict:
 
 
 def _resume_case(quick: bool) -> dict:
-    """Kill the service mid-storm, resume, diff the merged log."""
+    """Stop the plane mid-storm, resume, diff the merged log."""
     import tempfile
 
-    from repro.service import (
-        ControlPlaneService,
-        load_service_checkpoint,
-        restore_loop,
-        run_serial,
-        truncate_jsonl,
-    )
+    from repro.service import ShardedControlPlane
 
     hours = 4 if quick else 8
-    world, engine, ticks, trigger = _storm(hours, 12, seed=5)
-    reference = [
-        e.to_json()
-        for e in run_serial(_make_loop(world, engine, trigger, hours), ticks)
-    ]
-
+    spec = _storm_spec(hours, 12, seed=5)
     tmp = pathlib.Path(tempfile.mkdtemp(prefix="bench_service_"))
     log, ckpt = tmp / "decisions.jsonl", tmp / "ckpt.json"
-    cut = len(ticks) // 2
-    service = ControlPlaneService(
-        _make_loop(world, engine, trigger, hours), ticks,
-        http=False, decision_log=log, checkpoint_path=ckpt,
-        handle_signals=False,
-    )
+    plane = _storm_plane(spec, log, checkpoint_path=ckpt)
+    reference = [e.to_json() for e in _serial_events(plane, spec)]
+    cut = len(plane.driver.ticks) // 2
 
     async def _killed_run():
-        async def killer():
-            while service.ticks_processed < cut:
-                await asyncio.sleep(0)
-            service.request_stop()
-        await asyncio.gather(service.run(), killer())
+        run = asyncio.ensure_future(plane.run_async())
+        while plane.driver.ticks_processed < cut and not run.done():
+            await asyncio.sleep(0.001)
+        plane.request_stop()
+        await run
 
     asyncio.run(_killed_run())
-    payload = load_service_checkpoint(ckpt)
-    truncate_jsonl(log, payload["decisions_logged"])
-    resumed = ControlPlaneService(
-        restore_loop(engine, payload), ticks,
-        http=False, decision_log=log, checkpoint_path=ckpt,
-        start_tick=payload["next_tick"],
-        decisions_logged=payload["decisions_logged"],
-        handle_signals=False,
+    resumed = ShardedControlPlane.resume(
+        ckpt, http=False, handle_signals=False
     )
-    asyncio.run(resumed.run())
+    resumed.run()
     merged = log.read_text().splitlines()
     identical = merged == reference
     return {
         "hours": hours,
-        "killed_at_tick": cut,
+        "killed_at_tick": plane.driver.ticks_processed,
         "decisions": len(reference),
         "merged_log_identical": identical,
         "meets_criterion": identical,
@@ -342,7 +330,7 @@ def _shard_scaling_case(quick: bool) -> dict:
 def _slow_subscriber_case(quick: bool) -> dict:
     """A stalled stream subscriber must not slow the control loop.
 
-    Two identical storms through the ``sse=True`` service: one with no
+    Two identical storms through the in-process plane: one with no
     subscribers (baseline), one with a bounded subscriber that never
     drains. The read model drops that subscriber's oldest records in
     O(1), so the loop's p99 decision latency must stay flat — the
@@ -351,20 +339,15 @@ def _slow_subscriber_case(quick: bool) -> dict:
     """
     import tempfile
 
-    from repro.service import ControlPlaneService
-
     hours = 4 if quick else 8
-    world, engine, ticks, trigger = _storm(hours, 30, seed=9)
+    spec = _storm_spec(hours, 30, seed=9)
 
     def _run(stall: bool):
         log = pathlib.Path(tempfile.mkdtemp(prefix="bench_sub_")) / "log.jsonl"
-        service = ControlPlaneService(
-            _make_loop(world, engine, trigger, hours), ticks,
-            http=False, decision_log=log, handle_signals=False, sse=True,
-        )
-        sub = service.readmodel.subscribe(maxlen=4) if stall else None
-        asyncio.run(service.run())
-        p99_ms = _percentile(sorted(service.decide_wall_s), 0.99) * 1e3
+        plane = _storm_plane(spec, log)
+        sub = plane.readmodel.subscribe(maxlen=4) if stall else None
+        plane.run()
+        p99_ms = _percentile(sorted(plane.decide_wall_s), 0.99) * 1e3
         dropped = sub.dropped if sub else 0
         return p99_ms, dropped
 

@@ -18,10 +18,12 @@ Commands
     Run the always-on streaming control plane: replayed or synthetic
     bursty λ/price ticks drive sub-hourly re-dispatch through the
     engine pipeline, decisions append to a JSONL log, and a thin
-    HTTP/JSON API (``/status``, ``/decision``, ``/routing``, ...)
-    serves the live state. ``--checkpoint`` persists every settled
-    hour; after SIGTERM, ``serve --resume --checkpoint PATH`` continues
-    with a byte-identical decision log.
+    HTTP/JSON API (``/status``, ``/decision``, ``/decisions/stream``,
+    ``/routing``, ...) serves the live state. Without ``--workers`` one
+    region holding every site runs in-process; ``--workers N`` shards
+    market regions across N processes. ``--checkpoint`` persists every
+    settled hour; after SIGTERM, ``serve --resume --checkpoint PATH``
+    continues with a byte-identical decision log.
 ``compare``
     Run several registered strategies side by side
     (``--strategies capping,min-only-avg,...``; defaults to Cost
@@ -86,15 +88,30 @@ def _tracing(args: argparse.Namespace):
           f"({len(tel.tracer.finished)} spans, {len(tel.registry)} metrics)")
 
 
-def _positive_mw(text: str) -> float:
-    """argparse type for a load in MW: a finite number above zero."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
+def _finite(low: float, *, strict: bool):
+    """argparse type factory: a finite number >= ``low`` (> when strict).
+
+    NaN fails every comparison, so a bare sign check would let it in;
+    the explicit finiteness test rejects NaN and both infinities.
+    """
+    bound = f"{'>' if strict else '>='} {low:g}"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {bound}, got {text}"
+            )
+        return value
+
+    return parse
+
+
+_positive = _finite(0.0, strict=True)
+_non_negative = _finite(0.0, strict=False)
 
 
 def _cmd_lmp_sweep(args: argparse.Namespace) -> int:
@@ -235,24 +252,21 @@ def _cmd_solvers(args: argparse.Namespace) -> int:
     return 0
 
 
-def _endogenous_runtime(args: argparse.Namespace, engine):
-    """Build the closed-loop pricing runtime when the flag is set.
+def _endogenous_middleware(endogenous: dict | None, engine):
+    """The closed-loop pricing middleware for ``{"grid", "damping"}``.
 
-    Returns ``None`` when ``--endogenous-prices`` is off, keeping the
-    exogenous pipeline byte-identical (no closed-loop objects are even
-    constructed).
+    Returns ``None`` for exogenous prices, keeping that pipeline
+    byte-identical (no closed-loop objects are even constructed).
     """
-    if not getattr(args, "endogenous_prices", False):
+    if not endogenous:
         return None
-    from .powermarket import ClosedLoopConfig, get_grid
-    from .sim.endogenous import EndogenousPrices
+    from .sim.endogenous import EndogenousPriceMiddleware, EndogenousPrices
 
     try:
-        grid = get_grid(args.grid)
-        config = ClosedLoopConfig(damping=args.damping)
-        return EndogenousPrices(engine, grid=grid, config=config)
+        runtime = EndogenousPrices.from_spec(engine, endogenous)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
+    return [EndogenousPriceMiddleware(runtime)]
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -291,16 +305,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             print(f"monthly budget: ${monthly:,.0f} "
                   f"({args.budget_fraction:.0%} of uncapped spend)")
             budgeter = world.budgeter(monthly)
+    endogenous = (
+        {"grid": args.grid, "damping": args.damping}
+        if args.endogenous_prices else None
+    )
     meta = None
     if args.checkpoint:
-        # Everything 'repro resume' needs to rebuild the same world.
-        meta = {"policy": args.policy, "seed": args.seed}
-    middleware = None
-    runtime = _endogenous_runtime(args, engine)
-    if runtime is not None:
-        from .sim.endogenous import EndogenousPriceMiddleware
-
-        middleware = [EndogenousPriceMiddleware(runtime)]
+        # Everything 'repro resume' needs to rebuild the same run.
+        meta = {"policy": args.policy, "seed": args.seed,
+                "endogenous": endogenous}
+    middleware = _endogenous_middleware(endogenous, engine)
+    if middleware is not None:
         print(f"endogenous prices: grid={args.grid} "
               f"damping={args.damping:g}")
     with _tracing(args):
@@ -347,44 +362,36 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     print(f"resuming {payload['strategy']} from {args.checkpoint}: "
           f"{done}/{horizon} hours already settled")
     with _tracing(args):
-        result = engine.resume(args.checkpoint, hours=args.hours)
+        result = engine.resume(
+            args.checkpoint,
+            hours=args.hours,
+            middleware=_endogenous_middleware(meta.get("endogenous"), engine),
+        )
     _print_summary(payload["strategy"], result)
     _print_bill_components(result.hours)
     return 0
 
 
-def _serve_fresh(args: argparse.Namespace):
-    """Build (loop, ticks, world, meta, start_tick, logged) for a new run."""
-    from .experiments import paper_world
-    from .resilience import DegradationPolicy
-    from .service import ControlLoop, TriggerPolicy, build_ticks
+def _serve_spec(args: argparse.Namespace) -> dict:
+    """The control-plane spec for a fresh ``repro serve`` run."""
+    from .service.shard import build_world
     from .sim import Engine, get_strategy, resolve_monthly_budget
     from .workload import read_trace_csv
 
-    world = paper_world(args.policy, seed=args.seed)
-    engine = Engine(world.sites, world.workload, world.mix)
-    lam_trace = (
-        read_trace_csv(args.trace_file) if args.trace_file
-        else world.workload
-    )
-    hours = min(args.hours, lam_trace.hours, world.hours)
+    n_sites = args.sites
+    if n_sites is not None and n_sites != 3:
+        world_spec = {"kind": "scaled", "sites": n_sites,
+                      "policy": args.policy, "seed": args.seed}
+    else:
+        world_spec = {"kind": "paper", "policy": args.policy,
+                      "seed": args.seed}
+    world = build_world(world_spec)
+    hours = min(args.hours, world.hours)
+    if args.trace_file:
+        hours = min(hours, read_trace_csv(args.trace_file).hours)
     if hours < args.hours:
         print(f"note: horizon clipped to {hours} h (trace length)")
-    site_names = [s.name for s in world.sites]
-    source = {
-        "kind": args.source,
-        "ticks_per_hour": args.ticks_per_hour,
-        "hours": hours,
-        "seed": args.tick_seed,
-        "jitter": args.jitter,
-        "ca2": args.ca2,
-        "price_jitter": args.price_jitter,
-        "sites": site_names if args.price_jitter > 0 else [],
-        "trace_file": args.trace_file or None,
-    }
-    ticks = build_ticks(lam_trace, source)
     strategy = get_strategy(args.strategy)
-    budgeter = None
     monthly = args.monthly_budget
     if monthly is None and args.budget_fraction is not None:
         if not strategy.wants_budget:
@@ -392,188 +399,120 @@ def _serve_fresh(args: argparse.Namespace):
                   "--budget-fraction has no effect")
         else:
             monthly = resolve_monthly_budget(
-                world, args.budget_fraction, hours=hours, engine=engine
+                world, args.budget_fraction, hours=hours,
+                engine=Engine(world.sites, world.workload, world.mix),
             )
             print(f"monthly budget: ${monthly:,.0f} "
                   f"({args.budget_fraction:.0%} of uncapped spend)")
-    if monthly is not None and strategy.wants_budget:
-        budgeter = world.budgeter(monthly)
-    loop = ControlLoop(
-        engine,
-        strategy,
-        trigger=TriggerPolicy(
-            lambda_delta=args.lambda_delta,
-            price_delta=args.price_delta,
-            debounce_s=args.debounce,
-            max_staleness_s=args.max_staleness,
+    return {
+        "world": world_spec,
+        "source": {
+            "kind": args.source,
+            "ticks_per_hour": args.ticks_per_hour,
+            "hours": hours,
+            "seed": args.tick_seed,
+            "jitter": args.jitter,
+            "ca2": args.ca2,
+            "price_jitter": args.price_jitter,
+            "sites": (
+                [s.name for s in world.sites] if args.price_jitter > 0 else []
+            ),
+            "trace_file": args.trace_file or None,
+        },
+        "strategy": args.strategy,
+        "trigger": {
+            "lambda_delta": args.lambda_delta,
+            "price_delta": args.price_delta,
+            "debounce_s": args.debounce,
+            "max_staleness_s": args.max_staleness,
+        },
+        "degradation": args.degradation,
+        "horizon": hours,
+        "monthly_budget": monthly if strategy.wants_budget else None,
+        "tariff": args.tariff,
+        "endogenous": (
+            {"grid": args.grid, "damping": args.damping}
+            if args.endogenous_prices else None
         ),
-        budgeter=budgeter,
-        hours=hours,
-        degradation=DegradationPolicy(args.degradation),
-        endogenous=_endogenous_runtime(args, engine),
-        tariff=args.tariff,
-    )
-    meta = {
-        "policy": args.policy,
-        "seed": args.seed,
-        "decision_log": str(args.decision_log),
-        "monthly_budget": monthly,
-        "source": source,
     }
-    return loop, ticks, world, meta, 0, 0
 
 
-def _serve_resumed(args: argparse.Namespace):
-    """Rebuild the service state from a ``serve --checkpoint`` file."""
-    from .experiments import paper_world
-    from .service import (
-        build_ticks,
-        load_service_checkpoint,
-        restore_loop,
-        truncate_jsonl,
-    )
-    from .sim import Engine
-    from .workload import read_trace_csv
-
-    payload = load_service_checkpoint(args.checkpoint)
-    if payload["loop"]["settled_hours"] >= payload["horizon"]:
-        raise ValueError(
-            f"checkpoint {args.checkpoint} already covers its whole "
-            f"{payload['horizon']} h horizon; nothing left to serve"
-        )
-    meta = payload["meta"]
-    world = paper_world(meta["policy"], seed=meta["seed"])
-    engine = Engine(world.sites, world.workload, world.mix)
-    source = meta["source"]
-    lam_trace = (
-        read_trace_csv(source["trace_file"]) if source.get("trace_file")
-        else world.workload
-    )
-    ticks = build_ticks(lam_trace, source)
-    loop = restore_loop(engine, payload)
-    loop.endogenous = _endogenous_runtime(args, engine)
-    kept = truncate_jsonl(meta["decision_log"], payload["decisions_logged"])
-    print(f"resuming {payload['strategy']} from {args.checkpoint}: "
-          f"{payload['loop']['settled_hours']}/{payload['horizon']} hours "
-          f"settled, {kept} decisions kept in {meta['decision_log']}")
-    return loop, ticks, world, meta, payload["next_tick"], kept
-
-
-def _serve_sharded(args: argparse.Namespace) -> int:
-    """The ``--workers N`` / shard-checkpoint path: the multi-process
-    sharded control plane (:mod:`repro.service.shard`)."""
+def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from .service import ShardedControlPlane
-    from .service.shard import build_world
-    from .sim import Engine, get_strategy, resolve_monthly_budget
     from .telemetry import Telemetry, use_telemetry
 
-    if getattr(args, "endogenous_prices", False):
-        print("error: --endogenous-prices is not supported with --workers "
-              "(endogenous LMPs couple regions within the hour)")
+    if args.resume and not args.checkpoint:
+        print("error: --resume requires --checkpoint")
         return 2
+    code = _apply_solver_backend(args) or _validate_tariff(args)
+    if code is not None:
+        return code
+    if args.resume and args.tariff is not None:
+        print("note: --resume reads the tariff from the checkpoint; "
+              "--tariff ignored")
+    if args.resume and args.endogenous_prices:
+        print("note: --resume reads the pricing from the checkpoint; "
+              "--endogenous-prices, --grid and --damping ignored")
+    options = dict(
+        host=args.host,
+        port=args.port,
+        http=not args.no_http,
+        pace_s_per_hour=args.pace,
+        dns_ttl=args.dns_ttl,
+        telemetry_path=args.telemetry,
+    )
     try:
         if args.resume:
             service = ShardedControlPlane.resume(
-                args.checkpoint,
-                workers=args.workers,
-                host=args.host,
-                port=args.port,
-                http=not args.no_http,
-                pace_s_per_hour=args.pace,
+                args.checkpoint, workers=args.workers, **options
             )
-            print(f"resuming {service.spec['strategy']} from "
-                  f"{args.checkpoint}: "
-                  f"{service.coordinator.settled_hours}/"
-                  f"{service.coordinator.horizon} hours settled, "
-                  f"{service.n_workers} workers")
+            if service.n_workers is None and args.workers is not None:
+                print("note: this checkpoint is a single-process run; "
+                      "--workers ignored")
         else:
-            n_sites = args.sites
-            if n_sites is not None and n_sites != 3:
-                world_spec = {"kind": "scaled", "sites": n_sites,
-                              "policy": args.policy, "seed": args.seed}
-            else:
-                world_spec = {"kind": "paper", "policy": args.policy,
-                              "seed": args.seed}
-            world = build_world(world_spec)
-            engine = Engine(world.sites, world.workload, world.mix)
-            hours = min(args.hours, world.hours)
-            if args.trace_file:
-                from .workload import read_trace_csv
-
-                hours = min(hours, read_trace_csv(args.trace_file).hours)
-            if hours < args.hours:
-                print(f"note: horizon clipped to {hours} h (trace length)")
-            site_names = [s.name for s in world.sites]
-            strategy = get_strategy(args.strategy)
-            monthly = args.monthly_budget
-            if monthly is None and args.budget_fraction is not None:
-                if not strategy.wants_budget:
-                    print(f"note: {args.strategy} is a price taker; "
-                          "--budget-fraction has no effect")
-                else:
-                    monthly = resolve_monthly_budget(
-                        world, args.budget_fraction, hours=hours,
-                        engine=engine,
-                    )
-                    print(f"monthly budget: ${monthly:,.0f} "
-                          f"({args.budget_fraction:.0%} of uncapped spend)")
-            spec = {
-                "world": world_spec,
-                "source": {
-                    "kind": args.source,
-                    "ticks_per_hour": args.ticks_per_hour,
-                    "hours": hours,
-                    "seed": args.tick_seed,
-                    "jitter": args.jitter,
-                    "ca2": args.ca2,
-                    "price_jitter": args.price_jitter,
-                    "sites": site_names if args.price_jitter > 0 else [],
-                    "trace_file": args.trace_file or None,
-                },
-                "strategy": args.strategy,
-                "trigger": {
-                    "lambda_delta": args.lambda_delta,
-                    "price_delta": args.price_delta,
-                    "debounce_s": args.debounce,
-                    "max_staleness_s": args.max_staleness,
-                },
-                "degradation": args.degradation,
-                "horizon": hours,
-                "monthly_budget": (
-                    monthly if strategy.wants_budget else None
-                ),
-                "tariff": args.tariff,
-            }
             service = ShardedControlPlane(
-                spec,
+                _serve_spec(args),
                 workers=args.workers,
                 decision_log=args.decision_log,
                 checkpoint_path=args.checkpoint or None,
-                host=args.host,
-                port=args.port,
-                http=not args.no_http,
-                pace_s_per_hour=args.pace,
+                **options,
             )
     except (OSError, ValueError) as exc:
         print(f"error: {getattr(exc, 'strerror', None) or exc}")
         return 2
+    mode = (
+        "in-process" if service.n_workers is None
+        else f"x{service.n_workers} workers"
+    )
+    if args.resume:
+        print(f"resuming {service.spec['strategy']} from "
+              f"{args.checkpoint}: "
+              f"{service.coordinator.settled_hours}/"
+              f"{service.coordinator.horizon} hours settled, {mode}")
 
     async def _run() -> dict:
         if service.http_server is not None:
+            # Bind before the run starts so the port line is printed
+            # (and parseable by scripts) ahead of any decision work.
             await service.http_server.start()
             print(f"serving http://{args.host}:{service.port} "
                   f"(/healthz /status /decision /decisions/stream "
-                  f"/regions /hours /telemetry)",
+                  f"/regions /routing /hours /telemetry)",
                   flush=True)
         return await service.run_async()
 
-    with use_telemetry(Telemetry()):
+    # Workers report their counters into the front's bundle; the
+    # in-process plane records telemetry only when --telemetry streams
+    # (and so drains) it.
+    recording = args.telemetry or service.n_workers is not None
+    with use_telemetry(Telemetry() if recording else None):
         summary = asyncio.run(_run())
 
-    print(f"\n[serve {summary['strategy']} "
-          f"x{summary['workers']} workers, {summary['regions']} regions]")
+    regions = summary["regions"]
+    print(f"\n[serve {summary['strategy']} {mode}, "
+          f"{regions} region{'s' if regions != 1 else ''}]")
     print(f"  hours settled:       {summary['hours']}"
           f"/{service.coordinator.horizon}")
     print(f"  decisions:           {summary['decisions']}")
@@ -589,109 +528,12 @@ def _serve_sharded(args: argparse.Namespace) -> int:
     if summary["stopped"]:
         where = f" --checkpoint {args.checkpoint}" if args.checkpoint else ""
         print(f"  stopped by signal; resume with 'repro serve --resume{where}'")
-    return 1 if summary["worker_errors"] else 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from .routing import ResolverPopulation, WeightedDnsDispatcher
-    from .service import ControlPlaneService
-    from .telemetry import RotatingJsonlWriter, Telemetry, use_telemetry
-
-    if args.resume and not args.checkpoint:
-        print("error: --resume requires --checkpoint")
-        return 2
-    code = _apply_solver_backend(args) or _validate_tariff(args)
-    if code is not None:
-        return code
-    if args.resume and args.tariff is not None:
-        print("note: --resume reads the tariff from the checkpoint; "
-              "--tariff ignored")
-    if args.resume:
-        # The checkpoint kind decides which plane resumes it — a shard
-        # checkpoint resumes sharded whether or not --workers is given.
-        from .resilience import read_json
-
-        try:
-            kind = read_json(args.checkpoint).get("kind")
-        except (OSError, ValueError) as exc:
-            print(f"error: {getattr(exc, 'strerror', None) or exc}")
-            return 2
-        if kind == "shard-run":
-            return _serve_sharded(args)
-    elif args.workers is not None:
-        return _serve_sharded(args)
-    if args.workers is not None:
-        print("note: this checkpoint is a single-process run; "
-              "--workers ignored")
-    try:
-        loop, ticks, world, meta, start_tick, logged = (
-            _serve_resumed(args) if args.resume else _serve_fresh(args)
-        )
-    except (OSError, ValueError) as exc:
-        print(f"error: {getattr(exc, 'strerror', None) or exc}")
-        return 2
-    dns = WeightedDnsDispatcher(
-        [s.name for s in world.sites],
-        ResolverPopulation(ttl_s=args.dns_ttl),
-        seed=meta["seed"],
-    )
-    writer = (
-        RotatingJsonlWriter(args.telemetry) if args.telemetry else None
-    )
-    service = ControlPlaneService(
-        loop,
-        ticks,
-        host=args.host,
-        port=args.port,
-        http=not args.no_http,
-        decision_log=meta["decision_log"],
-        checkpoint_path=args.checkpoint or None,
-        meta=meta,
-        pace_s_per_hour=args.pace,
-        dns=dns,
-        telemetry_writer=writer,
-        start_tick=start_tick,
-        decisions_logged=logged,
-        sse=args.sse,
-    )
-
-    async def _run() -> dict:
-        if service.http_server is not None:
-            # Bind before replay starts so the port line is printed
-            # (and parseable by scripts) ahead of any decision work.
-            await service.http_server.start()
-            stream = " /decisions/stream" if args.sse else ""
-            print(f"serving http://{args.host}:{service.port} "
-                  f"(/healthz /status /decision{stream} /routing /hours "
-                  f"/telemetry)",
-                  flush=True)
-        return await service.run()
-
-    tel = Telemetry() if args.telemetry else None
-    if tel is not None:
-        with use_telemetry(tel):
-            summary = asyncio.run(_run())
-    else:
-        summary = asyncio.run(_run())
-
-    print(f"\n[serve {summary['strategy']}]")
-    print(f"  hours settled:       {summary['hours']}/{loop.horizon}")
-    print(f"  decisions:           {summary['decisions']} "
-          f"({summary['ticks']} ticks)")
-    print(f"  total cost:          ${summary['total_cost']:,.0f}")
-    print(f"  premium throughput:  {summary['premium_throughput']:.2%}")
-    print(f"  ordinary throughput: {summary['ordinary_throughput']:.2%}")
-    print(f"  hours over budget:   {summary['hours_over_budget']}")
-    if summary["stopped"]:
-        where = f" --checkpoint {args.checkpoint}" if args.checkpoint else ""
-        print(f"  stopped by signal; resume with 'repro serve --resume{where}'")
-    if args.telemetry and writer is not None:
+    writer = service.telemetry_writer
+    if writer is not None:
         print(f"  telemetry:           {args.telemetry} "
               f"({writer.records_written} records, "
               f"{writer.rotations} rotations)")
-    return 0
+    return 1 if summary["worker_errors"] else 0
 
 
 def _cmd_headroom(args: argparse.Namespace) -> int:
@@ -1022,8 +864,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_lmp = sub.add_parser("lmp-sweep", help="PJM 5-bus LMP step curves (Fig. 1)")
-    p_lmp.add_argument("--max-load", type=_positive_mw, default=900.0)
-    p_lmp.add_argument("--step", type=_positive_mw, default=25.0)
+    p_lmp.add_argument("--max-load", type=_positive, default=900.0)
+    p_lmp.add_argument("--step", type=_positive, default=25.0)
     p_lmp.set_defaults(func=_cmd_lmp_sweep)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -1076,7 +918,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     endo.add_argument(
         "--damping",
-        type=float,
+        type=_positive,
         default=0.5,
         metavar="BETA",
         help="relaxation weight of the dispatch<->OPF fixed point in "
@@ -1095,7 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument(
         "--budget-fraction",
-        type=float,
+        type=_positive,
         default=None,
         help="monthly budget as a fraction of the uncapped spend "
         "(budget-aware strategies only; omit for pure cost minimization)",
@@ -1162,12 +1004,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="registered dispatch strategy (default: capping)",
     )
     p_srv.add_argument(
-        "--budget-fraction", type=float, default=None,
+        "--budget-fraction", type=_positive, default=None,
         help="monthly budget as a fraction of uncapped spend "
         "(runs the anchor simulation once)",
     )
     p_srv.add_argument(
-        "--monthly-budget", type=float, default=None,
+        "--monthly-budget", type=_non_negative, default=None,
         help="monthly budget in dollars (skips the anchor run)",
     )
     p_srv.add_argument(
@@ -1184,31 +1026,31 @@ def build_parser() -> argparse.ArgumentParser:
         "--tick-seed", type=int, default=0, help="tick-stream RNG seed"
     )
     p_srv.add_argument(
-        "--jitter", type=float, default=0.02,
+        "--jitter", type=_non_negative, default=0.02,
         help="relative lambda noise for --source replay",
     )
     p_srv.add_argument(
-        "--ca2", type=float, default=4.0,
+        "--ca2", type=_finite(1.0, strict=True), default=4.0,
         help="burst CA2 for --source bursty (must be > 1)",
     )
     p_srv.add_argument(
-        "--price-jitter", type=float, default=0.0,
+        "--price-jitter", type=_non_negative, default=0.0,
         help="per-site price-feed random-walk step (0 disables price ticks)",
     )
     p_srv.add_argument(
-        "--lambda-delta", type=float, default=0.05,
+        "--lambda-delta", type=_positive, default=0.05,
         help="relative lambda change that triggers re-dispatch",
     )
     p_srv.add_argument(
-        "--price-delta", type=float, default=0.05,
+        "--price-delta", type=_positive, default=0.05,
         help="relative price-scale change that triggers re-dispatch",
     )
     p_srv.add_argument(
-        "--debounce", type=float, default=120.0,
+        "--debounce", type=_non_negative, default=120.0,
         help="minimum seconds between delta-triggered dispatches",
     )
     p_srv.add_argument(
-        "--max-staleness", type=float, default=900.0,
+        "--max-staleness", type=_positive, default=900.0,
         help="refresh any dispatch older than this many seconds",
     )
     p_srv.add_argument(
@@ -1238,32 +1080,28 @@ def build_parser() -> argparse.ArgumentParser:
         "are read from the checkpoint, not the command line)",
     )
     p_srv.add_argument(
-        "--pace", type=float, default=0.0,
+        "--pace", type=_non_negative, default=0.0,
         help="wall seconds per simulated hour (0 = replay at full speed)",
     )
     p_srv.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="shard the control plane across N worker processes (one "
         "market region per control loop, hourly budget barrier); "
-        "omit for the single-process service",
-    )
-    p_srv.add_argument(
-        "--sse", action="store_true",
-        help="serve the /decisions/stream server-sent-events endpoint "
-        "and the /decision?since= long-poll (always on with --workers)",
+        "omit to drive one region holding every site in-process",
     )
     p_srv.add_argument(
         "--sites", type=int, default=None, metavar="M",
-        help="with --workers: number of sites (default 3 = the paper "
-        "world; more cycles the Section VI-A specs into extra regions)",
+        help="number of sites (default 3 = the paper world; more cycles "
+        "the Section VI-A specs into extra regions)",
     )
     p_srv.add_argument(
         "--telemetry", default=None, metavar="PATH",
         help="stream spans/metrics to a size-rotated JSONL file",
     )
     p_srv.add_argument(
-        "--dns-ttl", type=float, default=300.0,
-        help="resolver TTL for the realized-routing model",
+        "--dns-ttl", type=_positive, default=300.0,
+        help="resolver TTL for the realized-routing model behind /routing "
+        "(single-process serve)",
     )
     p_srv.add_argument(
         "--solver-backend",
@@ -1354,7 +1192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_head = sub.add_parser(
         "headroom", help="LMPs + load-growth headroom on the 5-bus system"
     )
-    p_head.add_argument("--load", type=float, default=450.0,
+    p_head.add_argument("--load", type=_non_negative, default=450.0,
                         help="system load in MW")
     p_head.set_defaults(func=_cmd_headroom)
 

@@ -16,6 +16,8 @@ is why Figure 6's hourly budget grows over each week.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..telemetry import get_telemetry
@@ -114,8 +116,8 @@ class Budgeter:
         carryover: bool = True,
         claw_back_deficit: bool = False,
     ):
-        if monthly_budget < 0:
-            raise ValueError("monthly budget must be >= 0")
+        if not (math.isfinite(monthly_budget) and monthly_budget >= 0):
+            raise ValueError("monthly budget must be finite and >= 0")
         if month_hours <= 0:
             raise ValueError("month_hours must be positive")
         self.monthly_budget = float(monthly_budget)
@@ -157,7 +159,7 @@ class Budgeter:
         overspent hour (the mandatory-premium case of Section V-B)
         simply violates the budget unless ``claw_back_deficit`` is on.
         """
-        if cost < 0:
+        if not cost >= 0:  # also rejects NaN
             raise ValueError("cost must be >= 0")
         hour = self._next_hour
         if hour >= self.month_hours:
@@ -230,6 +232,9 @@ class Budgeter:
         next_hour = int(state["next_hour"])
         if month_hours <= 0:
             raise ValueError("checkpoint month_hours must be positive")
+        monthly_budget = float(state["monthly_budget"])
+        if not (math.isfinite(monthly_budget) and monthly_budget >= 0):
+            raise ValueError("checkpoint monthly budget must be finite and >= 0")
         if weights.shape != (month_hours,) or spent.shape != (month_hours,):
             raise ValueError(
                 "checkpoint weights/spent do not match month_hours "
@@ -238,7 +243,7 @@ class Budgeter:
         if not 0 <= next_hour <= month_hours:
             raise ValueError(f"checkpoint next_hour {next_hour} out of range")
         b = cls.__new__(cls)
-        b.monthly_budget = float(state["monthly_budget"])
+        b.monthly_budget = monthly_budget
         b.month_hours = month_hours
         b.start_weekday = int(state["start_weekday"])
         b.carryover = bool(state["carryover"])

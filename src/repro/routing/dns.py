@@ -26,6 +26,7 @@ imprecision).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,8 +57,8 @@ class ResolverPopulation:
     def __post_init__(self):
         if self.n_resolvers <= 0:
             raise ValueError("need at least one resolver")
-        if self.ttl_s <= 0:
-            raise ValueError("TTL must be positive")
+        if not (math.isfinite(self.ttl_s) and self.ttl_s > 0):
+            raise ValueError("TTL must be finite and positive")
         if self.skew < 0:
             raise ValueError("skew must be >= 0")
 

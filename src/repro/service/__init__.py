@@ -17,45 +17,37 @@ that:
   through :func:`~repro.sim.engine.dispatch_with_degradation`, and
   time-weighted hourly settlement into the budgeter;
 * :mod:`repro.service.httpd` — a dependency-free asyncio HTTP/JSON
-  server exposing the current decision, routing fractions (with the
-  TTL-converged realized split from
+  server exposing the current decision, the decision stream, routing
+  fractions (with the TTL-converged realized split from
   :class:`~repro.routing.WeightedDnsDispatcher`), status and telemetry;
-* :mod:`repro.service.runtime` — :class:`ControlPlaneService`, the
-  asyncio shell that feeds ticks to the core, appends the decision log,
-  checkpoints every settled hour, streams telemetry through a
-  :class:`~repro.telemetry.RotatingJsonlWriter`, and handles
-  SIGTERM-style stops so ``repro serve --resume`` continues
-  bit-identically;
 * :mod:`repro.service.readmodel` — :class:`DecisionReadModel`, the
   bounded publish/subscribe buffer between dispatch and HTTP readers:
   snapshot store, replay ring, per-subscriber drop-oldest queues, and
   the SSE framing behind ``/decisions/stream``;
-* :mod:`repro.service.shard` — :class:`ShardedControlPlane`, the
-  multi-process scale-out: one worker per group of market regions
-  (:func:`plan_regions`), an hour-boundary budget barrier
-  (:class:`ShardCoordinator`) carving hourly allotments from the shared
-  :class:`~repro.core.Budgeter`, coordinated checkpoints, and a
-  deterministic merged decision log
-  (``repro serve --workers N --sse``).
+* :mod:`repro.service.shard` — :class:`ShardedControlPlane`, the one
+  serve runtime. Without workers it drives one region holding every
+  site on a thread while asyncio serves HTTP; with ``workers=N`` it
+  runs one worker process per group of market regions
+  (:func:`plan_regions`). Either way an hour-boundary budget barrier
+  (:class:`ShardCoordinator`) carves hourly allotments from the shared
+  :class:`~repro.core.Budgeter` and writes coordinated checkpoints,
+  per-region decision logs merge into one deterministic log, telemetry
+  streams through a :class:`~repro.telemetry.RotatingJsonlWriter`, and
+  SIGTERM-style stops let ``repro serve --resume`` continue
+  bit-identically.
 
 Determinism is the design invariant: the decision core is synchronous
-and wall-clock-free (ticks carry simulated time), so a serial drive,
-the asyncio service, and the N-worker sharded plane each produce
-byte-identical decision logs for their spec — pinned by
-``tests/service`` and measured by ``benchmarks/bench_service.py``.
+and wall-clock-free (ticks carry simulated time), so a serial drive of
+one :class:`ControlLoop` and the in-process plane produce
+byte-identical decision logs, as do the N-worker plane and its serial
+reference for their spec — pinned by ``tests/service`` and measured by
+``benchmarks/bench_service.py``.
 
 """
 
 from .controller import ControlLoop, DecisionEvent, TriggerPolicy, run_serial
 from .httpd import JsonHttpServer, StreamResponse
 from .readmodel import DecisionReadModel, Subscription, sse_frame, sse_stream
-from .runtime import (
-    SERVICE_CHECKPOINT_VERSION,
-    ControlPlaneService,
-    load_service_checkpoint,
-    restore_loop,
-    truncate_jsonl,
-)
 from .shard import (
     SHARD_CHECKPOINT_VERSION,
     RegionSpec,
@@ -65,6 +57,7 @@ from .shard import (
     merge_region_logs,
     plan_regions,
     run_sharded_serial,
+    truncate_jsonl,
 )
 from .ticks import Tick, build_ticks, bursty_ticks, replay_ticks
 
@@ -77,10 +70,6 @@ __all__ = [
     "DecisionEvent",
     "ControlLoop",
     "run_serial",
-    "ControlPlaneService",
-    "SERVICE_CHECKPOINT_VERSION",
-    "load_service_checkpoint",
-    "restore_loop",
     "truncate_jsonl",
     "JsonHttpServer",
     "StreamResponse",

@@ -1,10 +1,10 @@
 """The synchronous decision core of the streaming control plane.
 
 Everything that *decides* lives here, free of asyncio, sockets and wall
-clocks, so the asyncio service in :mod:`repro.service.runtime` is a
-thin shell: feeding the same tick sequence through :class:`ControlLoop`
-serially or through the event loop produces byte-identical decision
-logs (the property ``benchmarks/bench_service.py`` asserts and
+clocks, so the serve runtime in :mod:`repro.service.shard` is a thin
+shell: feeding the same tick sequence through :class:`ControlLoop`
+serially or through the in-process plane produces byte-identical
+decision logs (the property ``benchmarks/bench_service.py`` asserts and
 ``tests/service`` pin).
 
 One :class:`ControlLoop` drives one strategy over one
@@ -34,11 +34,11 @@ rates); settlement time-weights the realized costs of the hour's
 decision segments and feeds the blended bill to the budgeter, so a
 re-dispatching month remains comparable with a batch month.
 
-Hour settlement fires the ``on_settle`` callback — the service's
-checkpoint hook. The loop's own :meth:`state_dict`/:meth:`load_state`
-capture everything needed to continue bit-identically from a settled
-hour boundary (λ/price observations, decision counters, the record in
-force that bridges hour boundaries, and the last good decision).
+The loop's own :meth:`state_dict`/:meth:`load_state` capture everything
+needed to continue bit-identically from a settled hour boundary (λ/price
+observations, decision counters, the record in force that bridges hour
+boundaries, and the last good decision); the serve runtime snapshots it
+at each hour barrier, right after :meth:`settle_open_hour`.
 """
 
 from __future__ import annotations
@@ -94,6 +94,13 @@ class TriggerPolicy:
     max_staleness_s: float = 900.0
 
     def __post_init__(self):
+        # Values also arrive from checkpoint and spec JSON; NaN would
+        # slip past every comparison below.
+        if not all(map(math.isfinite, (
+            self.lambda_delta, self.price_delta,
+            self.debounce_s, self.max_staleness_s,
+        ))):
+            raise ValueError("trigger thresholds must be finite")
         if self.lambda_delta <= 0 or self.price_delta <= 0:
             raise ValueError("delta thresholds must be positive")
         if self.debounce_s < 0:
@@ -183,7 +190,7 @@ class ControlLoop:
         plane (:mod:`repro.service.shard`) uses to hand each region
         loop its hourly allotment from the shared budget ledger.
         Mutually exclusive with ``budgeter``; spend settlement is then
-        the ledger's job (reported through ``on_settle``), not the
+        the ledger's job (fed from :meth:`settle_open_hour`), not the
         loop's. When neither is given, the loop synthesizes a source
         returning ``inf`` — budgeted and unbudgeted hours open through
         the same code path.
@@ -201,9 +208,6 @@ class ControlLoop:
         Degradation policy for solver failures (default
         :attr:`~repro.resilience.DegradationPolicy.PROPORTIONAL` — an
         always-on service must not crash on a solver hiccup).
-    on_settle:
-        ``callback(loop, summary_dict)`` fired after each hour settles
-        (budgeter updated, summary appended) — the checkpoint hook.
     """
 
     def __init__(
@@ -218,7 +222,6 @@ class ControlLoop:
         hours: int | None = None,
         degradation: DegradationPolicy | None = DegradationPolicy.PROPORTIONAL,
         name: str | None = None,
-        on_settle=None,
         endogenous=None,
     ):
         self.engine = engine
@@ -233,7 +236,6 @@ class ControlLoop:
         self.horizon = engine._horizon(hours)
         self.degradation = degradation
         self.name = name or engine._result_name(self.strategy)
-        self.on_settle = on_settle
         if budgeter is not None and budget_source is not None:
             raise ValueError(
                 "pass either a budgeter or a budget_source, not both"
@@ -273,7 +275,6 @@ class ControlLoop:
         # Dispatch bookkeeping.
         self.decisions = 0
         self.current_record: HourRecord | None = None
-        self.current_event: DecisionEvent | None = None
         self._last_dispatch_s = 0.0
         self._lambda_at_dispatch = 0.0
         self._scale_at_dispatch: dict[str, float] = {}
@@ -461,7 +462,6 @@ class ControlLoop:
             ),
         )
         self.decisions += 1
-        self.current_event = event
         return event
 
     # -- hour accounting ----------------------------------------------------
@@ -529,8 +529,6 @@ class ControlLoop:
         self.hour_summaries.append(summary)
         self._hour_open = False
         get_telemetry().counter("service.hours_settled").inc()
-        if self.on_settle is not None:
-            self.on_settle(self, summary)
         return summary
 
     # -- aggregate view ------------------------------------------------------
@@ -568,8 +566,9 @@ class ControlLoop:
         }
 
     # -- checkpoint state ----------------------------------------------------
-    # Valid only at a settled hour boundary (the on_settle hook), where
-    # the in-progress-hour accruals are empty by construction.
+    # Valid only at a settled hour boundary (right after an hour
+    # settles), where the in-progress-hour accruals are empty by
+    # construction.
 
     def state_dict(self) -> dict:
         return {
@@ -640,8 +639,8 @@ class ControlLoop:
 def run_serial(loop: ControlLoop, ticks) -> list[DecisionEvent]:
     """Drive a loop through a tick sequence without an event loop.
 
-    The reference execution: the asyncio service must produce exactly
-    this sequence of events for the same ticks.
+    The reference execution: the in-process serve plane must produce
+    exactly this sequence of events for the same ticks.
     """
     events: list[DecisionEvent] = []
     for tick in ticks:

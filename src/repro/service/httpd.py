@@ -23,9 +23,9 @@ for ``curl`` and :mod:`urllib`:
   is written chunk by chunk with no Content-Length and the connection
   is dedicated (closed when the stream ends or the client goes away).
 
-Handlers run on the event loop thread and may be sync or async; sync
-handlers read the control loop's state without locking (the tick feed
-and the HTTP server interleave cooperatively, never concurrently).
+Handlers run on the event loop thread and may be sync or async. The
+control loops run on other threads or processes, so a handler reads
+their state as single attribute reads, or under the owner's lock.
 
 Budgets can legitimately be infinite, and the repository's JSON
 convention keeps ``Infinity`` literals (Python's ``json`` both emits

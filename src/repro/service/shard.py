@@ -1,19 +1,19 @@
-"""The sharded control plane: one worker process per market-region group.
+"""The control plane behind ``repro serve``: market regions, in-process or sharded.
 
-The single-process service (:mod:`repro.service.runtime`) tops out at
-one core: every tick of every site funnels through one
-:class:`~repro.service.controller.ControlLoop`. The paper's world is
-the opposite shape — a multi-region grid actor whose *markets* are
+The paper's world is a multi-region grid actor whose *markets* are
 independent within an hour and couple only through the shared monthly
-budget — so the scale-out unit is the market region:
+budget, so the unit of the plane is the market region:
 
-* **Region plan** — :func:`plan_regions` partitions the fleet with the
-  same grouping the decomposition solver uses
+* **Region plan** — with ``workers=N``, :func:`plan_regions` partitions
+  the fleet with the same grouping the decomposition solver uses
   (:func:`~repro.core.decomposition.partition_market_regions`: sites
   sharing a pricing policy trade in one market). Each region gets a
   static *share*: its fraction of fleet throughput capacity, used both
   as its geo-DNS traffic share (region loops observe ``λ·share``) and
-  its budget weight.
+  its budget weight. Without workers the plan is one region holding
+  every site, with share exactly 1.0: the paper's joint hourly
+  dispatch, driven in-process on a thread while the asyncio loop
+  serves HTTP.
 * **Workers** — regions are dealt round-robin onto ``N`` worker
   processes. Each worker rebuilds the world from the spec (fork- and
   spawn-safe: nothing unpicklable crosses the process boundary),
@@ -21,15 +21,16 @@ budget — so the scale-out unit is the market region:
   :meth:`Engine.subset <repro.sim.engine.Engine.subset>` of its sites,
   and drives the shared tick stream: λ ticks are broadcast (scaled by
   region share), price ticks routed to the owning region only.
-* **Budget ledger** — workers meet at every hour boundary in a
-  two-phase barrier run by :class:`ShardCoordinator` in the front
-  process: (1) each worker settles *all* its region loops and sends
-  the spends; (2) when the last worker arrives, the coordinator
-  settles the single shared :class:`~repro.core.Budgeter` (spends
-  summed in fixed region order), writes one coordinated checkpoint,
-  carves the next hour's budget by region share, and releases
-  everyone. Unused budget flows through the budgeter's own carryover,
-  so claw-back across regions is global, not per-region.
+* **Budget ledger** — every hour boundary is a two-phase barrier run
+  by :class:`ShardCoordinator`: (1) each driver settles *all* its
+  region loops and sends the spends; (2) when the last one arrives,
+  the coordinator settles the single shared
+  :class:`~repro.core.Budgeter` (spends summed in fixed region order),
+  writes one coordinated checkpoint, carves the next hour's budget by
+  region share, and releases everyone. Unused budget flows through the
+  budgeter's own carryover, so claw-back across regions is global, not
+  per-region. In-process, the one driver meets the coordinator
+  directly, so the barrier resolves at once.
 * **Determinism** — each region loop is a pure function of its tick
   substream, its hourly allotments and its region world; none of those
   depend on worker count or scheduling. The per-region decision logs
@@ -37,19 +38,23 @@ budget — so the scale-out unit is the market region:
   region)``) are therefore byte-identical for every ``N`` — including
   ``N=1`` and the in-process :func:`run_sharded_serial` reference —
   and identical again after a mid-run SIGTERM plus ``serve --resume``
-  (per-region logs truncated to the coordinated checkpoint, exactly
-  the single-service protocol, per worker).
-* **Push, not poll** — workers stream every decision over their pipe;
-  the front publishes them into a
+  (per-region logs truncated to the coordinated checkpoint). The
+  one-region plane's log equals a single
+  :func:`~repro.service.controller.run_serial` loop's over the same
+  ticks.
+* **Push, not poll** — every decision is published into a
   :class:`~repro.service.readmodel.DecisionReadModel` feeding the
-  ``/decisions/stream`` SSE endpoint and the ``/decision`` long-poll.
-  Subscriber queues are bounded with drop-oldest, so a stalled client
-  costs the dispatch loops nothing.
+  ``/decisions/stream`` SSE endpoint and the ``/decision`` long-poll
+  (workers stream theirs over their pipe). Subscriber queues are
+  bounded with drop-oldest, so a stalled client costs the dispatch
+  loops nothing.
 
 A crashed or stopped worker aborts the in-flight barrier round (its
 spends are missing, so the round cannot settle); the last *completed*
 round's checkpoint is the resume point, and log truncation discards
-whatever any worker dispatched past it.
+whatever any worker dispatched past it. Checkpoints written by the
+retired single-process runtime (``service-run`` versions 1 and 2) load
+as one-region checkpoints (:func:`load_shard_checkpoint`).
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ import json
 import math
 import multiprocessing as mp
 import pathlib
+import shutil
 import signal
 import threading
 import time
@@ -68,9 +74,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..billing import DEFAULT_TARIFF
 from ..core import Budgeter
 from ..resilience import DegradationPolicy, atomic_write_json, read_json
-from ..telemetry import Telemetry, get_telemetry, merge_counters, use_telemetry
+from ..telemetry import (
+    RotatingJsonlWriter,
+    Telemetry,
+    get_telemetry,
+    merge_counters,
+    use_telemetry,
+)
 from .controller import ControlLoop, TriggerPolicy
 from .httpd import JsonHttpServer, StreamResponse
 from .readmodel import DecisionReadModel, sse_stream
@@ -87,6 +100,7 @@ __all__ = [
     "run_sharded_serial",
     "merge_region_logs",
     "load_shard_checkpoint",
+    "truncate_jsonl",
 ]
 
 #: Shard checkpoint schema version; bump when the payload changes.
@@ -233,6 +247,10 @@ class ShardCoordinator:
     dies (:meth:`worker_gone`) aborts the in-flight round — the spends
     of its regions are missing, so settling would corrupt the ledger —
     and every waiter is released with a stop reply.
+
+    ``on_settled`` is called with no arguments, on the last arrival's
+    thread, after each round that settled an hour (the in-process
+    plane streams its telemetry there).
     """
 
     def __init__(
@@ -247,6 +265,7 @@ class ShardCoordinator:
         settled_hours: int = 0,
         next_tick: int = 0,
         region_states: dict | None = None,
+        on_settled=None,
     ):
         self.regions = regions
         self.budgeter = budgeter
@@ -257,7 +276,16 @@ class ShardCoordinator:
         self.settled_hours = int(settled_hours)
         self.next_tick = int(next_tick)
         self.region_states: dict[str, dict] = dict(region_states or {})
-        self.hour_summaries: list[dict] = []
+        self.on_settled = on_settled
+        # A resumed run reports every settled hour, restored ones too.
+        self.hour_summaries: list[dict] = sorted(
+            (
+                {"region": int(r), **summary}
+                for r, state in self.region_states.items()
+                for summary in state["loop"]["hour_summaries"]
+            ),
+            key=lambda s: (s["hour"], s["region"]),
+        )
         self.checkpoints_written = 0
         self.rounds = 0
         self._owned: dict[int, list[int]] = {0: [r.index for r in regions]}
@@ -350,7 +378,12 @@ class ShardCoordinator:
             # total, and through it the budgeter's carryover, is
             # identical for every worker count. The energy-only tariff
             # reduces to the pre-ledger sum of region spends bit for
-            # bit (one component, same region order, same fold).
+            # bit (one component, same region order, same fold). For a
+            # single region this is 0+d+e where the loop's own
+            # SettlementLedger.total folds 0+e+d; the two are equal
+            # only because a two-term float sum does not depend on
+            # order. No tariff has a third component today; adding one
+            # breaks the one-region plane's identity with a lone loop.
             spends = {
                 r: settles[r].get("spends", {"energy": settles[r]["spend"]})
                 for r in settles
@@ -375,6 +408,8 @@ class ShardCoordinator:
                 }
             self._write_checkpoint()
             get_telemetry().counter("service.shard.barriers").inc()
+            if self.on_settled is not None:
+                self.on_settled()
         allot_all: dict[int, float] = {}
         if open_hour is not None:
             total_h = (
@@ -395,7 +430,7 @@ class ShardCoordinator:
             "kind": "shard-run",
             "version": SHARD_CHECKPOINT_VERSION,
             "strategy": self.spec["strategy"],
-            "tariff": self.spec.get("tariff"),
+            "tariff": self.spec.get("tariff") or DEFAULT_TARIFF,
             "horizon": self.horizon,
             "regions_planned": len(self.regions),
             "settled_hours": self.settled_hours,
@@ -412,8 +447,15 @@ class ShardCoordinator:
 
 
 def load_shard_checkpoint(path) -> dict:
-    """Read and validate a coordinated shard checkpoint."""
+    """Read and validate a coordinated shard checkpoint.
+
+    A ``service-run`` checkpoint (versions 1 and 2, written by the
+    retired single-process runtime) loads as the equivalent one-region
+    checkpoint, so a serve in flight across the upgrade resumes.
+    """
     payload = read_json(path)
+    if payload.get("kind") == "service-run":
+        return _from_service_checkpoint(path, payload)
     if payload.get("kind") != "shard-run":
         raise ValueError(f"{path} is not a shard run checkpoint")
     version = payload.get("version")
@@ -427,6 +469,88 @@ def load_shard_checkpoint(path) -> dict:
         if key not in payload:
             raise ValueError(f"shard checkpoint missing {key!r}")
     return payload
+
+
+def _from_service_checkpoint(path, payload: dict) -> dict:
+    """A ``service-run`` checkpoint as a one-region shard checkpoint.
+
+    The single-process runtime ran one loop over every site: the
+    in-process plane's region 0. Its loop state, strategy state,
+    budgeter and ledger carry over unchanged. It logged to one file,
+    which ``legacy_log`` names so the plane can seed region 0's log
+    from it. Its meta held the world and tick-source parameters.
+    """
+    if payload.get("version") not in (1, 2):
+        raise ValueError(
+            f"unsupported service checkpoint version "
+            f"{payload.get('version')!r} (expected 1 or 2)"
+        )
+    for key in ("strategy", "horizon", "trigger", "next_tick",
+                "decisions_logged", "loop", "meta"):
+        if key not in payload:
+            raise ValueError(f"{path}: service checkpoint missing {key!r}")
+    meta = payload["meta"]
+    spec = {
+        "world": {"kind": "paper", "policy": meta["policy"],
+                  "seed": meta["seed"]},
+        "source": meta["source"],
+        "strategy": payload["strategy"],
+        "trigger": payload["trigger"],
+        "degradation": payload.get("degradation"),
+        "horizon": payload["horizon"],
+        "monthly_budget": meta.get("monthly_budget"),
+        # Version 1 predates tariffs: None is the energy default.
+        "tariff": payload.get("tariff"),
+    }
+    return {
+        "kind": "shard-run",
+        "version": SHARD_CHECKPOINT_VERSION,
+        "strategy": payload["strategy"],
+        "tariff": spec["tariff"] or DEFAULT_TARIFF,
+        "horizon": payload["horizon"],
+        "regions_planned": 1,
+        "settled_hours": payload["loop"]["settled_hours"],
+        "next_tick": payload["next_tick"],
+        "budgeter": payload.get("budgeter"),
+        "regions": {
+            "0": {
+                "loop": payload["loop"],
+                "strategy_state": payload.get("strategy_state"),
+                "decisions_logged": payload["decisions_logged"],
+            },
+        },
+        "meta": {"spec": spec, "decision_log": meta["decision_log"],
+                 "workers": None},
+        "legacy_log": meta["decision_log"],
+    }
+
+
+def truncate_jsonl(path, keep_lines: int) -> int:
+    """Drop log lines past ``keep_lines`` (decisions the checkpoint
+    does not cover); returns the number of lines kept. A missing log
+    with nothing to keep is created empty."""
+    path = pathlib.Path(path)
+    if not path.exists():
+        if keep_lines > 0:
+            raise ValueError(
+                f"decision log {path} is missing but the checkpoint "
+                f"expects {keep_lines} logged decisions"
+            )
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.touch()
+        return 0
+    with path.open("r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    if len(lines) < keep_lines:
+        raise ValueError(
+            f"decision log {path} has {len(lines)} lines but the "
+            f"checkpoint expects {keep_lines}; the log does not match "
+            "this checkpoint"
+        )
+    if len(lines) > keep_lines:
+        with path.open("w", encoding="utf-8") as fh:
+            fh.writelines(lines[:keep_lines])
+    return keep_lines
 
 
 # -- ledger clients -----------------------------------------------------------
@@ -499,8 +623,9 @@ class RegionDriver:
         before every barrier so the checkpoint's ``decisions_logged``
         never exceeds the bytes on disk.
     stop:
-        Optional event-like object with ``is_set()`` checked between
-        ticks (the SIGTERM path).
+        Optional event (``is_set()`` and ``wait(timeout)``, threading
+        or multiprocessing) checked between ticks and waited on while
+        pacing — the SIGTERM path.
     resume:
         Optional shard checkpoint payload; restores loop and strategy
         state for owned regions and sets the tick/hour cursors.
@@ -521,6 +646,7 @@ class RegionDriver:
         pace_s_per_hour: float = 0.0,
         resume: dict | None = None,
     ):
+        from ..sim.endogenous import EndogenousPrices
         from ..sim.registry import get_strategy
 
         self.regions = regions
@@ -529,11 +655,12 @@ class RegionDriver:
         self.spec = spec
         self.ledger = ledger
         self.emit = emit
-        self.log_fhs = log_fhs or {}
-        self.stop = stop
+        self.log_fhs = dict(log_fhs or {})
+        self.stop = stop if stop is not None else threading.Event()
         self.pace_s_per_hour = float(pace_s_per_hour)
         self.horizon = int(spec["horizon"])
         self.stopped = False
+        self.ticks_processed = 0
         self.decide_wall_s: list[float] = []
 
         self._site_owner = {
@@ -555,8 +682,13 @@ class RegionDriver:
                 budget_source = (
                     lambda hour, _r=r: self._allot[(_r, hour)]
                 )
+            # A region holding every site drives the fleet engine itself.
+            loop_engine = (
+                engine if len(regions) == 1
+                else engine.subset(regions[r].sites)
+            )
             loop = ControlLoop(
-                engine.subset(regions[r].sites),
+                loop_engine,
                 strategy,
                 trigger=TriggerPolicy(**spec["trigger"]),
                 budget_source=budget_source,
@@ -564,6 +696,9 @@ class RegionDriver:
                 hours=self.horizon,
                 degradation=degradation,
                 name=f"{spec['strategy']}/region{r}",
+                endogenous=EndogenousPrices.from_spec(
+                    loop_engine, spec.get("endogenous")
+                ),
             )
             if resume is not None:
                 state = resume["regions"].get(str(r))
@@ -583,8 +718,8 @@ class RegionDriver:
 
     # -- driving ------------------------------------------------------------
 
-    def run(self) -> dict:
-        """Drive the stream to completion (or stop); return summaries."""
+    def run(self) -> None:
+        """Drive the stream to completion (or stop)."""
         cur: int | None = None
         finished = False
         prev_time = None
@@ -592,18 +727,20 @@ class RegionDriver:
         for tick in self.ticks:
             if tick.seq < self.start_tick:
                 continue
-            if self.stop is not None and self.stop.is_set():
-                self.stopped = True
-                break
             hour_of = int(tick.time_s // _HOUR_S)
             if hour_of >= self.horizon:
                 break  # post-horizon tail; settle below
             if self.pace_s_per_hour > 0 and prev_time is not None:
-                time.sleep(
+                # Wait on the stop event, not sleep: a stop requested
+                # during the pause ends it, and this tick is not routed.
+                self.stop.wait(
                     max(0.0, tick.time_s - prev_time)
                     / _HOUR_S * self.pace_s_per_hour
                 )
             prev_time = tick.time_s
+            if self.stop.is_set():
+                self.stopped = True
+                break
             if cur is None:
                 if not self._open_round({}, self.start_hour, tick.seq):
                     self.stopped = True
@@ -622,6 +759,7 @@ class RegionDriver:
                 cur = nxt
             if self.stopped or finished:
                 break
+            self.ticks_processed += 1
             self._route(tick)
         if not self.stopped and not finished and cur is not None:
             # Stream ended mid-horizon: settle the open hour at its
@@ -629,7 +767,6 @@ class RegionDriver:
             # the ledger record it.
             settles = self._settle_all(cur)
             self.ledger.exchange(settles, None, end_seq)
-        return {r: self.loops[r].summary() for r in self.order}
 
     def _open_round(self, settles, open_hour, next_tick) -> bool:
         allot = self.ledger.exchange(settles, open_hour, next_tick)
@@ -707,8 +844,8 @@ def _worker_main(wid: int, job: dict, conn, stop_ev) -> None:
 
     Everything in ``job`` is plain data. The worker reports decisions
     (``("event", region, event_dict, wall_s, produced_mono)``), barrier
-    rounds, and a final ``("done", summaries, counters, stopped)`` —
-    or ``("error", message)`` — over its pipe, then exits.
+    rounds, and a final ``("done", counters, stopped)`` — or
+    ``("error", message)`` — over its pipe, then exits.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, lambda *_: stop_ev.set())
@@ -748,7 +885,7 @@ def _worker_main(wid: int, job: dict, conn, stop_ev) -> None:
                     pace_s_per_hour=job.get("pace_s_per_hour", 0.0),
                     resume=resume,
                 )
-                summaries = driver.run()
+                driver.run()
             finally:
                 for fh in log_fhs.values():
                     fh.close()
@@ -757,7 +894,7 @@ def _worker_main(wid: int, job: dict, conn, stop_ev) -> None:
                 for m in tel.registry.as_dicts()
                 if m["type"] == "counter"
             }
-            conn.send(("done", summaries, counters, driver.stopped))
+            conn.send(("done", counters, driver.stopped))
     except Exception as exc:  # noqa: BLE001 — report, don't hang the front
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -842,22 +979,52 @@ def run_sharded_serial(
     return [line for _, _, line in merged], coordinator
 
 
-# -- the multi-process front --------------------------------------------------
+# -- the serve runtime --------------------------------------------------------
+
+
+def _query_since(query: dict) -> int:
+    """The ``since`` cursor of a read-model query: an integer >= 0."""
+    text = query.get("since", "0")
+    try:
+        since = int(text)
+    except ValueError:
+        since = -1
+    if since < 0:
+        raise ValueError(f"since must be an integer >= 0, got {text!r}")
+    return since
+
+
+def _query_wait_s(query: dict) -> float:
+    """The long-poll ``wait_s``: finite seconds, capped at two minutes."""
+    text = query.get("wait_s", "30")
+    try:
+        wait_s = float(text)
+    except ValueError:
+        wait_s = math.nan
+    if not math.isfinite(wait_s):
+        raise ValueError(f"wait_s must be a finite number, got {text!r}")
+    return min(wait_s, 120.0)
 
 
 class ShardedControlPlane:
-    """Front process: workers, coordinator, read model, HTTP push API.
+    """The serve runtime: region drivers, coordinator, read model, HTTP API.
 
     Parameters
     ----------
     spec:
-        Plain-dict shard spec: ``world`` (see :func:`build_world`),
-        ``source`` (tick-source spec), ``strategy``, ``trigger``,
-        ``degradation``, ``horizon``, ``monthly_budget``, optional
+        Plain-dict spec: ``world`` (see :func:`build_world`), ``source``
+        (tick-source spec), ``strategy``, ``trigger``, ``degradation``,
+        ``horizon``, ``monthly_budget``, optional ``tariff``,
+        ``endogenous`` (``{"grid": name, "damping": beta}``) and
         ``max_region_combos``.
     workers:
-        Worker process count; clamped to the region count (a region is
-        the unit of parallelism).
+        ``None`` plans one region holding every site and drives it on a
+        thread of this process while the asyncio loop serves HTTP.
+        ``N`` plans market regions (:func:`plan_regions`) and deals them
+        onto ``N`` worker processes, clamped to the region count (a
+        region is the unit of parallelism). Endogenous prices need the
+        in-process plane: endogenous LMPs couple regions within the
+        hour.
     decision_log:
         The merged JSONL log, written when the run completes.
         Per-region logs live beside it in ``<decision_log>.d/``.
@@ -868,13 +1035,20 @@ class ShardedControlPlane:
         and per-region state, truncates the per-region logs, and skips
         consumed ticks. The worker count may differ from the original
         run — determinism holds for any ``N``.
+    dns_ttl:
+        Resolver TTL of the realized-routing model behind ``/routing``.
+        In-process only, where each decision routes the whole fleet;
+        ``None`` models no routing.
+    telemetry_path:
+        Spans and counters stream to this size-rotated JSONL file at
+        every settled hour.
     """
 
     def __init__(
         self,
         spec: dict,
         *,
-        workers: int = 2,
+        workers: int | None = None,
         decision_log="service_decisions.jsonl",
         checkpoint_path=None,
         host: str = "127.0.0.1",
@@ -884,17 +1058,36 @@ class ShardedControlPlane:
         resume_payload: dict | None = None,
         handle_signals: bool = True,
         history: int = 1024,
+        dns_ttl: float | None = None,
+        telemetry_path=None,
     ):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        if not (math.isfinite(pace_s_per_hour) and pace_s_per_hour >= 0):
+            raise ValueError("pace must be finite and >= 0")
         self.spec = spec
         self.world = build_world(spec["world"])
-        engine = _build_engine(self.world)
-        self.regions = plan_regions(engine, spec.get("max_region_combos", 512))
-        self.n_workers = max(1, min(int(workers), len(self.regions)))
+        #: The fleet engine: plans the regions, and is the one region's
+        #: engine in-process.
+        self.engine = _build_engine(self.world)
+        if workers is None:
+            self.n_workers = None
+            self.regions = [
+                RegionSpec(0, tuple(s.name for s in self.engine.sites), 1.0)
+            ]
+        else:
+            if workers < 1:
+                raise ValueError("workers must be >= 1")
+            if spec.get("endogenous"):
+                raise ValueError(
+                    "endogenous prices are not supported with workers "
+                    "(endogenous LMPs couple regions within the hour)"
+                )
+            self.regions = plan_regions(
+                self.engine, spec.get("max_region_combos", 512)
+            )
+            self.n_workers = max(1, min(int(workers), len(self.regions)))
+        n = self.n_workers or 1
         self.owned = {
-            w: [r.index for r in self.regions[w :: self.n_workers]]
-            for w in range(self.n_workers)
+            w: [r.index for r in self.regions[w::n]] for w in range(n)
         }
         self.decision_log = pathlib.Path(decision_log)
         self.log_dir = self.decision_log.with_name(self.decision_log.name + ".d")
@@ -905,6 +1098,8 @@ class ShardedControlPlane:
         self.pace_s_per_hour = float(pace_s_per_hour)
         self.handle_signals = handle_signals
         self.resume_payload = resume_payload
+        self.telemetry_path = telemetry_path
+        self.telemetry_writer: RotatingJsonlWriter | None = None
 
         budgeter = None
         if resume_payload is not None:
@@ -939,6 +1134,9 @@ class ShardedControlPlane:
             region_states=(
                 resume_payload["regions"] if resume_payload else None
             ),
+            on_settled=(
+                self._drain_telemetry if telemetry_path is not None else None
+            ),
         )
         self.coordinator.set_workers(self.owned)
         self.readmodel = DecisionReadModel(history=history)
@@ -951,7 +1149,6 @@ class ShardedControlPlane:
             for st in (resume_payload or {}).get("regions", {}).values()
         )
         self.decide_wall_s: list[float] = []
-        self.worker_summaries: dict[int, dict] = {}
         self.worker_counters: dict[str, float] = {}
         self.worker_errors: dict[int, str] = {}
         self.stop_requested = False
@@ -959,10 +1156,37 @@ class ShardedControlPlane:
         self._lock = threading.Lock()
         self._procs: list[mp.Process] = []
         self._threads: list[threading.Thread] = []
-        self._stop_ev = None
         self._done_evt: asyncio.Event | None = None
         self._aio: asyncio.AbstractEventLoop | None = None
         self._workers_left = 0
+        self.dns = None
+        self._target_fractions: dict[str, float] | None = None
+        self._realized_fractions: dict[str, float] | None = None
+        self._stop_ev = None
+        #: The in-process region driver; ``None`` with workers.
+        self.driver: RegionDriver | None = None
+        if self.n_workers is None:
+            if dns_ttl is not None:
+                from ..routing import ResolverPopulation, WeightedDnsDispatcher
+
+                self.dns = WeightedDnsDispatcher(
+                    list(self.regions[0].sites),
+                    ResolverPopulation(ttl_s=dns_ttl),
+                    seed=int(spec["world"].get("seed", 7)),
+                )
+            self._stop_ev = threading.Event()
+            self.driver = RegionDriver(
+                self.engine,
+                self.regions,
+                [0],
+                _build_spec_ticks(self.world, spec["source"]),
+                spec,
+                _DirectLedger(self.coordinator),
+                emit=self._emit,
+                stop=self._stop_ev,
+                pace_s_per_hour=self.pace_s_per_hour,
+                resume=resume_payload,
+            )
 
     @property
     def port(self) -> int | None:
@@ -970,7 +1194,12 @@ class ShardedControlPlane:
 
     @classmethod
     def resume(cls, checkpoint_path, *, workers: int | None = None, **kwargs):
-        """Rebuild a sharded service from its coordinated checkpoint."""
+        """Rebuild the plane from its coordinated checkpoint.
+
+        ``workers`` overrides the checkpointed worker count, except
+        that an in-process run resumes in-process: its one region does
+        not split across workers.
+        """
         payload = load_shard_checkpoint(checkpoint_path)
         if payload["settled_hours"] >= payload["horizon"]:
             raise ValueError(
@@ -978,9 +1207,11 @@ class ShardedControlPlane:
                 f"{payload['horizon']} h horizon; nothing left to serve"
             )
         meta = payload["meta"]
+        if workers is None or meta["workers"] is None:
+            workers = meta["workers"]
         return cls(
             meta["spec"],
-            workers=workers if workers is not None else meta["workers"],
+            workers=workers,
             decision_log=kwargs.pop("decision_log", meta["decision_log"]),
             checkpoint_path=checkpoint_path,
             resume_payload=payload,
@@ -988,9 +1219,9 @@ class ShardedControlPlane:
         )
 
     def request_stop(self) -> None:
-        """SIGTERM path: workers stop between ticks; the in-flight
-        barrier round (if any) aborts, leaving the last completed
-        round's checkpoint as the resume point."""
+        """SIGTERM path: drivers stop between ticks (a paced one at
+        once); the in-flight barrier round (if any) aborts, leaving the
+        last completed round's checkpoint as the resume point."""
         self.stop_requested = True
         if self._stop_ev is not None:
             self._stop_ev.set()
@@ -1015,12 +1246,20 @@ class ShardedControlPlane:
                     pass
         if self.http_server is not None:
             await self.http_server.start()
-        self._prepare_logs()
-        self._launch_workers()
         try:
-            await self._done_evt.wait()
-            await aio.run_in_executor(None, self._join_workers)
+            if self.telemetry_path is not None:
+                self.telemetry_writer = RotatingJsonlWriter(self.telemetry_path)
+            self._prepare_logs()
+            if self.driver is not None:
+                await self._drive_in_process(aio)
+            else:
+                self._launch_workers()
+                await self._done_evt.wait()
+                await aio.run_in_executor(None, self._join_workers)
         finally:
+            if self.telemetry_writer is not None:
+                self._drain_telemetry()
+                self.telemetry_writer.close()
             if self.http_server is not None:
                 await self.http_server.stop()
             if self.handle_signals:
@@ -1035,14 +1274,24 @@ class ShardedControlPlane:
         return self._summary(merged)
 
     def _prepare_logs(self) -> None:
-        from .runtime import truncate_jsonl
-
         self.log_dir.mkdir(parents=True, exist_ok=True)
-        if self.resume_payload is not None:
-            for r, path in self.log_paths.items():
-                state = self.resume_payload["regions"].get(str(r))
-                keep = int(state["decisions_logged"]) if state else 0
-                truncate_jsonl(path, keep)
+        if self.resume_payload is None:
+            return
+        legacy = self.resume_payload.get("legacy_log")
+        if legacy is not None:
+            # A single-process checkpoint: its one log is region 0's.
+            shutil.copyfile(legacy, self.log_paths[0])
+        for r, path in self.log_paths.items():
+            state = self.resume_payload["regions"].get(str(r))
+            keep = int(state["decisions_logged"]) if state else 0
+            truncate_jsonl(path, keep)
+
+    async def _drive_in_process(self, aio) -> None:
+        mode = "a" if self.resume_payload is not None else "w"
+        with open(self.log_paths[0], mode, encoding="utf-8") as fh:
+            self.driver.log_fhs[0] = fh
+            await aio.run_in_executor(None, self.driver.run)
+        self._stopped = self.driver.stopped
 
     def _launch_workers(self) -> None:
         methods = mp.get_all_start_methods()
@@ -1075,6 +1324,27 @@ class ShardedControlPlane:
             thread.start()
             self._threads.append(thread)
 
+    def _publish(self, region: int, event: dict, wall_s, produced) -> None:
+        with self._lock:
+            self.decisions_published += 1
+            self.decide_wall_s.append(wall_s)
+        self.readmodel.publish(event, region=region, produced_mono=produced)
+        get_telemetry().counter("service.shard.events").inc()
+
+    def _emit(self, region, event, wall_s, produced_mono) -> None:
+        """The in-process driver's per-decision callback: route, then
+        publish, so ``/routing`` is current once a decision is read."""
+        if self.dns is not None:
+            # The window since the dispatcher's clock carried the *old*
+            # answer weights; realize it before switching targets.
+            window = event.time_s - self.dns.clock_s
+            if self._target_fractions is not None and window > 0:
+                self._realized_fractions = self.dns.dispatch_window(
+                    self._target_fractions, window
+                )
+            self._target_fractions = event.fractions()
+        self._publish(region, event.to_dict(), wall_s, produced_mono)
+
     def _reader(self, wid: int, conn) -> None:
         tel = get_telemetry()
         try:
@@ -1087,19 +1357,12 @@ class ShardedControlPlane:
                 kind = msg[0]
                 if kind == "event":
                     _, region, event, wall_s, produced = msg
-                    with self._lock:
-                        self.decisions_published += 1
-                        self.decide_wall_s.append(wall_s)
-                    self.readmodel.publish(
-                        event, region=region, produced_mono=produced
-                    )
-                    tel.counter("service.shard.events").inc()
+                    self._publish(region, event, wall_s, produced)
                 elif kind == "barrier":
                     conn.send(self.coordinator.barrier(wid, msg[1]))
                 elif kind == "done":
-                    _, summaries, counters, stopped = msg
+                    _, counters, stopped = msg
                     with self._lock:
-                        self.worker_summaries[wid] = summaries
                         for name, value in counters.items():
                             self.worker_counters[name] = (
                                 self.worker_counters.get(name, 0.0) + value
@@ -1126,6 +1389,15 @@ class ShardedControlPlane:
             if proc.is_alive():  # pragma: no cover — defensive
                 proc.terminate()
                 proc.join(timeout=5.0)
+
+    def _drain_telemetry(self) -> None:
+        tel = get_telemetry()
+        writer = self.telemetry_writer
+        if tel.tracer.enabled:
+            for span in tel.tracer.drain():
+                writer.write(span.as_dict())
+        writer.write_all(tel.registry.as_dicts())
+        writer.flush()
 
     def _summary(self, merged_lines: int | None) -> dict:
         hours = self.coordinator.hour_summaries
@@ -1169,6 +1441,7 @@ class ShardedControlPlane:
             "/decision": self._r_decision,
             "/decisions/stream": self._r_stream,
             "/regions": self._r_regions,
+            "/routing": self._r_routing,
             "/hours": self._r_hours,
             "/telemetry": self._r_telemetry,
         }
@@ -1177,6 +1450,9 @@ class ShardedControlPlane:
         with self._lock:
             decisions = self.decisions_published
             errors = dict(self.worker_errors)
+        # The live loop state is visible to the front only in-process.
+        driver = self.driver
+        loop = driver.loops[0] if driver is not None else None
         return 200, {
             "strategy": self.spec["strategy"],
             "workers": self.n_workers,
@@ -1184,7 +1460,16 @@ class ShardedControlPlane:
             "regions": len(self.regions),
             "settled_hours": self.coordinator.settled_hours,
             "horizon": self.coordinator.horizon,
+            "finished": (
+                self.coordinator.settled_hours >= self.coordinator.horizon
+            ),
             "decisions": decisions,
+            "ticks_processed": (
+                driver.ticks_processed if driver is not None else None
+            ),
+            "hour": loop.hour if loop is not None else None,
+            "lambda_rps": loop.lambda_now if loop is not None else None,
+            "hour_budget": loop.hour_budget if loop is not None else None,
             "pub_seq": self.readmodel.pub_seq,
             "subscribers": self.readmodel.subscribers,
             "stopping": self.stop_requested,
@@ -1192,14 +1477,19 @@ class ShardedControlPlane:
         }
 
     async def _r_decision(self, query):
-        since = query.get("since")
-        if since is None:
+        """Bare GET: the newest decision. ``?since=<pub_seq>&wait_s=``
+        long-polls for the next newer one (200 with ``timeout: true``
+        when none arrives in time)."""
+        if "since" not in query:
             record = self.readmodel.latest()
             if record is None:
                 return 404, {"error": "no decision yet"}
             return 200, self._enrich(record)
-        wait_s = min(float(query.get("wait_s", 30.0)), 120.0)
-        record = await self.readmodel.wait_newer(int(since), wait_s)
+        try:
+            since, wait_s = _query_since(query), _query_wait_s(query)
+        except ValueError as exc:
+            return 400, {"error": str(exc)}
+        record = await self.readmodel.wait_newer(since, wait_s)
         if record is None:
             return 200, {
                 "pub_seq": self.readmodel.pub_seq, "timeout": True,
@@ -1215,9 +1505,11 @@ class ShardedControlPlane:
         }
 
     def _r_stream(self, query):
-        return StreamResponse(
-            sse_stream(self.readmodel, int(query.get("since", 0) or 0))
-        )
+        try:
+            since = _query_since(query)
+        except ValueError as exc:
+            return 400, {"error": str(exc)}
+        return StreamResponse(sse_stream(self.readmodel, since))
 
     def _r_regions(self):
         snap = self.readmodel.snapshot()
@@ -1239,7 +1531,20 @@ class ShardedControlPlane:
             ],
         }
 
+    def _r_routing(self):
+        if self.dns is None:
+            return 404, {"error": "no routing model (in-process serve only)"}
+        if self._target_fractions is None:
+            return 404, {"error": "no decision yet"}
+        return 200, {
+            "target": self._target_fractions,
+            "realized": self._realized_fractions,
+            "ttl_s": self.dns.population.ttl_s,
+        }
+
     def _r_hours(self):
+        # Cap the response at one week of hours; the full history lives
+        # in the checkpoint and the telemetry stream.
         return 200, {"hours": self.coordinator.hour_summaries[-168:]}
 
     def _r_telemetry(self):

@@ -86,6 +86,21 @@ class EndogenousPrices:
         self._sites = {s.name: s for s in engine.sites}
         self.last: FixedPointResult | None = None
 
+    @classmethod
+    def from_spec(
+        cls, engine: Engine, spec: dict | None
+    ) -> "EndogenousPrices | None":
+        """The runtime a ``{"grid": name, "damping": beta}`` spec asks
+        for — the form checkpoints and serve specs record — or ``None``
+        for exogenous prices."""
+        if not spec:
+            return None
+        return cls(
+            engine,
+            grid=spec["grid"],
+            config=ClosedLoopConfig(damping=float(spec["damping"])),
+        )
+
     # -- the per-hour pass -------------------------------------------------
 
     def apply(self, ctx: HourContext, state: RunState) -> FixedPointResult:

@@ -4,7 +4,10 @@ The fixtures under ``tests/fixtures/tariff/`` were generated by the
 pre-billing-layer code (see ``gen_fixtures.py`` there): hourly engine
 records, an engine checkpoint (version 2), a serve decision log plus
 service checkpoint (version 1), and a sharded serial merged log plus
-shard checkpoint (version 1). These tests assert that
+shard checkpoint (version 1). ``tests/fixtures/service_v2/`` holds a
+version 2 service checkpoint and its logs, written by the retired
+single-process serve runtime under a demand tariff. These tests assert
+that
 
 * the default ``energy`` tariff reproduces every pinned record
   field-for-field and every pinned decision log **byte-for-byte**, and
@@ -121,75 +124,89 @@ class TestEnginePinned:
 
 # -- single-process serve ---------------------------------------------------------
 
-
-def _run_serve(tmp_path, tariff=None):
-    import asyncio
-
-    from repro.experiments import paper_world
-    from repro.service import (
-        ControlLoop,
-        ControlPlaneService,
-        TriggerPolicy,
-        build_ticks,
-    )
-    from repro.sim import Engine
-
-    world = paper_world(1, seed=7)
-    engine = Engine(world.sites, world.workload, world.mix)
-    ticks = build_ticks(world.workload, GEN.SOURCE)
-    loop = ControlLoop(
-        engine,
-        "capping",
-        trigger=TriggerPolicy(**GEN.SHARD_SPEC["trigger"]),
-        budgeter=world.budgeter(GEN.MONTHLY_BUDGET),
-        tariff=tariff,
-        hours=GEN.SERVE_HOURS,
-    )
-    log = tmp_path / "decisions.jsonl"
-    ckpt = tmp_path / "service_ckpt.json"
-    service = ControlPlaneService(
-        loop,
-        ticks,
-        http=False,
-        decision_log=log,
-        checkpoint_path=ckpt,
-        meta={"policy": 1, "seed": 7},
-        handle_signals=False,
-    )
-    asyncio.run(service.run())
-    return log, ckpt, loop
+SERVICE_V2 = FIXTURES.parent / "service_v2"
 
 
 class TestServePinned:
     def test_decision_log_byte_identical(self, tmp_path):
-        log, ckpt, _ = _run_serve(tmp_path)
+        from repro.service import ShardedControlPlane, load_shard_checkpoint
+
+        log = tmp_path / "decisions.jsonl"
+        ckpt = tmp_path / "ckpt.json"
+        ShardedControlPlane(
+            GEN.SERVE_SPEC,
+            decision_log=log,
+            checkpoint_path=ckpt,
+            http=False,
+            handle_signals=False,
+        ).run()
         assert log.read_bytes() == (
             FIXTURES / "serve_decisions.jsonl"
         ).read_bytes()
-        payload = json.loads(ckpt.read_text())
+        payload = load_shard_checkpoint(ckpt)
         assert payload["version"] == 2
         assert payload["tariff"] == "energy"
 
-    def test_v1_service_checkpoint_migrates(self):
-        from repro.experiments import paper_world
-        from repro.service import load_service_checkpoint, restore_loop
-        from repro.sim import Engine
+    def test_v1_service_checkpoint_migrates(self, tmp_path):
+        from repro.service import ShardedControlPlane, load_shard_checkpoint
+        from repro.service.shard import RegionDriver
 
-        payload = load_service_checkpoint(FIXTURES / "service_ckpt.json")
-        assert payload["version"] == 1
-        assert "tariff" not in payload
+        raw = json.loads((FIXTURES / "service_ckpt.json").read_text())
+        assert raw["kind"] == "service-run" and raw["version"] == 1
+        assert "tariff" not in raw
+        payload = load_shard_checkpoint(FIXTURES / "service_ckpt.json")
+        assert payload["kind"] == "shard-run"
+        assert payload["regions_planned"] == 1
+        assert payload["meta"]["workers"] is None
+        assert payload["regions"]["0"]["decisions_logged"] == 12
 
-        world = paper_world(1, seed=7)
-        engine = Engine(world.sites, world.workload, world.mix)
         # The fixture covers its whole horizon; widen it so the
         # restored loop has hours left (what a real resume-and-extend
         # does), exercising the migration path.
-        loop = restore_loop(
-            engine, dict(payload, horizon=GEN.SERVE_HOURS + 1)
+        spec = dict(payload["meta"]["spec"], horizon=GEN.SERVE_HOURS + 1)
+        plane = ShardedControlPlane(
+            spec,
+            decision_log=tmp_path / "merged.jsonl",
+            http=False,
+            handle_signals=False,
+            resume_payload=payload,
         )
+        assert plane.coordinator.settled_hours == raw["loop"]["settled_hours"]
+        assert plane.coordinator.next_tick == raw["next_tick"]
+        assert isinstance(plane.driver, RegionDriver)
+        loop = plane.driver.loops[0]
         assert loop.ledger.is_energy_only
         assert loop.ledger.tariff == "energy"
-        assert loop.settled_hours == payload["loop"]["settled_hours"]
+        assert loop.settled_hours == raw["loop"]["settled_hours"]
+
+    def test_v2_service_checkpoint_resumes_byte_identical(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import ShardedControlPlane
+
+        # The checkpoint names its log relative to the serve's cwd.
+        for name in ("checkpoint.json", "decisions.jsonl"):
+            shutil.copy(SERVICE_V2 / name, tmp_path / name)
+        monkeypatch.chdir(tmp_path)
+        raw = json.loads((tmp_path / "checkpoint.json").read_text())
+        assert raw["kind"] == "service-run" and raw["version"] == 2
+        assert raw["tariff"] == "energy+demand:rate=2,cycle=6"
+
+        plane = ShardedControlPlane.resume(
+            "checkpoint.json", workers=3, http=False, handle_signals=False
+        )
+        # A single-process run resumes single-process.
+        assert plane.n_workers is None
+        summary = plane.run()
+        assert summary["worker_errors"] == {}
+        assert summary["hours"] == raw["horizon"]
+        assert (tmp_path / "decisions.jsonl").read_bytes() == (
+            SERVICE_V2 / "uninterrupted.jsonl"
+        ).read_bytes()
+        # The resumed serve checkpoints in the one remaining format.
+        payload = json.loads((tmp_path / "checkpoint.json").read_text())
+        assert payload["kind"] == "shard-run"
+        assert payload["tariff"] == "energy+demand:rate=2,cycle=6"
 
 
 # -- sharded serve ---------------------------------------------------------------

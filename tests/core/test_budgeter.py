@@ -24,6 +24,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Budgeter(100.0, _flat_predictor(), month_hours=0)
 
+    @pytest.mark.parametrize("monthly", [float("nan"), float("inf")])
+    def test_non_finite_budget_rejected(self, monthly):
+        # `nan < 0` is false: a sign check alone would accept it.
+        with pytest.raises(ValueError, match="finite"):
+            Budgeter(monthly, _flat_predictor())
+
 
 class TestBaseAllocation:
     def test_base_budgets_sum_to_monthly(self):
@@ -152,3 +158,5 @@ class TestAccounting:
         b = Budgeter(10.0, _flat_predictor(), month_hours=2)
         with pytest.raises(ValueError):
             b.record_spend(-1.0)
+        with pytest.raises(ValueError):
+            b.record_spend(float("nan"))

@@ -10,13 +10,19 @@ checkpoint, and a sharded serial merged log + shard checkpoint. The
 billing-layer tests assert the default ``energy`` tariff still produces
 exactly these bytes/fields, and that the old checkpoint versions load
 via migration.
+
+``service_ckpt.json`` is historical input: it was written by the
+retired single-process runtime, and nothing here rewrites it. The serve
+decision log is now produced by the in-process control plane, which
+must reproduce it byte for byte.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import pathlib
+import shutil
+import tempfile
 
 HERE = pathlib.Path(__file__).parent
 
@@ -52,6 +58,8 @@ SHARD_SPEC = {
     "monthly_budget": MONTHLY_BUDGET,
 }
 
+SERVE_SPEC = dict(SHARD_SPEC, source=SOURCE, horizon=SERVE_HOURS)
+
 
 def gen_engine() -> None:
     from repro.experiments import paper_world
@@ -74,42 +82,15 @@ def gen_engine() -> None:
 
 
 def gen_serve() -> None:
-    from repro.experiments import paper_world
-    from repro.service import (
-        ControlLoop,
-        ControlPlaneService,
-        TriggerPolicy,
-        build_ticks,
-    )
-    from repro.sim import Engine
+    from repro.service import ShardedControlPlane
 
-    world = paper_world(1, seed=7)
-    engine = Engine(world.sites, world.workload, world.mix)
-    ticks = build_ticks(world.workload, SOURCE)
-    loop = ControlLoop(
-        engine,
-        "capping",
-        trigger=TriggerPolicy(**SHARD_SPEC["trigger"]),
-        budgeter=world.budgeter(MONTHLY_BUDGET),
-        hours=SERVE_HOURS,
-    )
-    meta = {
-        "policy": 1,
-        "seed": 7,
-        "decision_log": str(HERE / "serve_decisions.jsonl"),
-        "monthly_budget": MONTHLY_BUDGET,
-        "source": SOURCE,
-    }
-    service = ControlPlaneService(
-        loop,
-        ticks,
-        http=False,
-        decision_log=HERE / "serve_decisions.jsonl",
-        checkpoint_path=HERE / "service_ckpt.json",
-        meta=meta,
-        handle_signals=False,
-    )
-    summary = asyncio.run(service.run())
+    with tempfile.TemporaryDirectory() as tmp:
+        log = pathlib.Path(tmp) / "serve_decisions.jsonl"
+        plane = ShardedControlPlane(
+            SERVE_SPEC, decision_log=log, http=False, handle_signals=False
+        )
+        summary = plane.run()
+        shutil.copyfile(log, HERE / "serve_decisions.jsonl")
     print(f"serve: {summary['decisions']} decisions, "
           f"{summary['hours']} hours settled")
 

@@ -86,6 +86,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="next_hour"):
             Budgeter.restore(state)
 
+    @pytest.mark.parametrize("monthly", [float("nan"), -1.0])
+    def test_bad_monthly_budget_rejected(self, monthly):
+        state = Budgeter(10.0, _predictor(), month_hours=24).checkpoint()
+        state["monthly_budget"] = monthly
+        with pytest.raises(ValueError, match="monthly budget"):
+            Budgeter.restore(state)
+
 
 class TestFiles:
     def test_save_load_round_trip(self, tmp_path):

@@ -40,6 +40,11 @@ class TestTriggerPolicy:
             TriggerPolicy(max_staleness_s=60.0, debounce_s=120.0)
         with pytest.raises(ValueError):
             TriggerPolicy(lambda_delta=-0.1)
+        # NaN passes every sign check, so each field must refuse it.
+        for field in ("lambda_delta", "price_delta", "debounce_s",
+                      "max_staleness_s"):
+            with pytest.raises(ValueError, match="finite"):
+                TriggerPolicy(**{field: float("nan")})
 
     def test_hour_start_always_dispatches(self, world, engine):
         loop = _loop(world, engine)
@@ -136,18 +141,14 @@ class TestStateRoundTrip:
         full.finish()
 
         # Drive up to (but not through) the first tick of hour 1, then
-        # process that boundary tick. Settling hour 0 fires on_settle
-        # mid-tick — snapshot there, exactly as the service does, so
-        # the state predates the boundary tick's own dispatch.
+        # settle hour 0 explicitly and snapshot there, as the serve
+        # runtime's hour barrier does: the state predates the boundary
+        # tick's own dispatch.
         first = _loop(world, engine, hours=3)
-        snapshots = []
-        first.on_settle = lambda loop, summary: snapshots.append(
-            loop.state_dict()
-        )
         boundary = next(i for i, t in enumerate(ticks) if t.time_s >= HOUR)
         head = [e.to_json() for t in ticks[:boundary] for e in first.on_tick(t)]
-        first.on_tick(ticks[boundary])
-        state = snapshots[0]
+        first.settle_open_hour()
+        state = first.state_dict()
         assert state["settled_hours"] == 1
 
         resumed = ControlLoop(

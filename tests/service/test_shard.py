@@ -8,8 +8,10 @@ logs — including after a mid-run stop plus resume with a *different*
 worker count.
 """
 
+import asyncio
 import json
 import threading
+import time
 
 import pytest
 
@@ -211,6 +213,30 @@ class TestStopResume:
         assert summary["worker_errors"] == {}
         assert summary["hours"] == 3
         assert log.read_text().splitlines() == ref
+
+    def test_paced_worker_stops_within_the_pause(self, tmp_path):
+        # 600 simulated seconds between ticks at one wall second each:
+        # after the first tick the worker sits in a 600 s pause, which
+        # a stop must end at once, without routing the next tick.
+        svc = ShardedControlPlane(
+            _spec(), workers=1, decision_log=tmp_path / "dec.jsonl",
+            http=False, handle_signals=False, pace_s_per_hour=3600.0,
+        )
+        stopped_at = []
+
+        async def drive():
+            run = asyncio.ensure_future(svc.run_async())
+            await asyncio.sleep(0)
+            assert await svc.readmodel.wait_newer(0, 60.0) is not None
+            stopped_at.append(time.monotonic())
+            svc.request_stop()
+            return await asyncio.wait_for(run, 60.0)
+
+        summary = asyncio.run(drive())
+        assert time.monotonic() - stopped_at[0] < 5.0
+        assert summary["stopped"] and summary["worker_errors"] == {}
+        # One hour-start decision per region from the first tick only.
+        assert summary["decisions"] == len(svc.regions)
 
     def test_finished_checkpoint_refuses_resume(self, tmp_path):
         svc = ShardedControlPlane(

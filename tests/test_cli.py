@@ -120,6 +120,45 @@ class TestCommands:
         assert main(["headroom", "--load", "99999"]) == 1
         assert "infeasible" in capsys.readouterr().out
 
+    def test_headroom_zero_load_is_valid(self, capsys):
+        assert main(["headroom", "--load", "0"]) == 0
+        assert "headroom" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--budget-fraction", "nan"],
+            ["simulate", "--budget-fraction", "-1"],
+            ["simulate", "--budget-fraction", "inf"],
+            ["run", "--damping", "nan"],
+            ["serve", "--budget-fraction", "0"],
+            ["serve", "--monthly-budget", "nan"],
+            ["serve", "--monthly-budget", "-5"],
+            ["serve", "--dns-ttl", "nan"],
+            ["serve", "--dns-ttl", "0"],
+            ["serve", "--pace", "nan"],
+            ["serve", "--pace", "-1"],
+            ["serve", "--lambda-delta", "nan"],
+            ["serve", "--price-delta", "0"],
+            ["serve", "--debounce", "-1"],
+            ["serve", "--max-staleness", "inf"],
+            ["serve", "--jitter", "nan"],
+            ["serve", "--ca2", "1"],
+            ["serve", "--price-jitter", "-0.1"],
+            ["headroom", "--load", "nan"],
+            ["headroom", "--load", "inf"],
+            ["headroom", "--load", "-5"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_numeric_flags_reject_bad_values(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[1]}: must be finite and" in (
+            capsys.readouterr().err
+        )
+
     @pytest.mark.slow
     def test_study_command(self, capsys):
         assert main(["study", "--seeds", "1", "--hours", "6"]) == 0
@@ -159,6 +198,68 @@ class TestTelemetryCommands:
         empty.write_text("")
         assert main(["telemetry", "summary", str(empty)]) == 1
         assert "no telemetry" in capsys.readouterr().out
+
+
+def _stopped_serve(flags, log, ckpt, stop_after=1):
+    """A ``repro serve FLAGS`` run stopped right after ``stop_after``
+    hours settle: the state a SIGTERM at that barrier leaves behind."""
+    from repro.cli import _serve_spec
+    from repro.service import ShardedControlPlane
+
+    plane = ShardedControlPlane(
+        _serve_spec(build_parser().parse_args(["serve", *flags])),
+        decision_log=log, checkpoint_path=ckpt,
+        http=False, handle_signals=False,
+    )
+
+    def settled():
+        if plane.coordinator.settled_hours == stop_after:
+            plane.request_stop()
+
+    plane.coordinator.on_settled = settled
+    assert plane.run()["stopped"]
+
+
+class TestEndogenousResume:
+    """A resumed run keeps the pricing it was started with."""
+
+    def test_batch_resume_keeps_endogenous_prices(self, capsys, tmp_path):
+        import json
+
+        full, cut = tmp_path / "full.json", tmp_path / "cut.json"
+        flags = ["--endogenous-prices", "--damping", "0.6"]
+        assert main(["run", "--hours", "3", *flags,
+                     "--checkpoint", str(full)]) == 0
+        assert main(["run", "--hours", "2", *flags,
+                     "--checkpoint", str(cut)]) == 0
+        assert main(["resume", str(cut), "--hours", "3"]) == 0
+        meta = json.loads(cut.read_text())["meta"]
+        assert meta["endogenous"] == {"grid": "pjm5bus", "damping": 0.6}
+        assert (json.loads(cut.read_text())["records"]
+                == json.loads(full.read_text())["records"])
+
+    def test_serve_resume_keeps_endogenous_prices(self, capsys, tmp_path):
+        flags = ["--hours", "3", "--ticks-per-hour", "4",
+                 "--monthly-budget", "2e6", "--endogenous-prices"]
+        ref = tmp_path / "ref.jsonl"
+        assert main(["serve", *flags, "--no-http",
+                     "--decision-log", str(ref)]) == 0
+        log, ckpt = tmp_path / "live.jsonl", tmp_path / "ckpt.json"
+        _stopped_serve(flags, log, ckpt)
+        capsys.readouterr()
+        # The flags on --resume are ignored: the checkpoint decides.
+        assert main(["serve", "--resume", "--checkpoint", str(ckpt),
+                     "--no-http", "--endogenous-prices"]) == 0
+        assert "--endogenous-prices, --grid and --damping ignored" in (
+            capsys.readouterr().out
+        )
+        assert log.read_bytes() == ref.read_bytes()
+
+    def test_workers_refuse_endogenous_prices(self, capsys):
+        rc = main(["serve", "--hours", "1", "--workers", "2", "--no-http",
+                   "--endogenous-prices"])
+        assert rc == 2
+        assert "not supported with workers" in capsys.readouterr().out
 
 
 class TestServeParser:
@@ -216,6 +317,42 @@ class TestServeCommand:
         import json as _json
 
         assert all("allocations" in _json.loads(l) for l in lines)
+
+    def test_single_process_checkpoint_ignores_workers(
+        self, capsys, tmp_path
+    ):
+        log, ckpt = tmp_path / "decisions.jsonl", tmp_path / "ckpt.json"
+        _stopped_serve(
+            ["--hours", "2", "--ticks-per-hour", "4", "--monthly-budget",
+             "2e6"],
+            log, ckpt,
+        )
+        rc = main(["serve", "--resume", "--checkpoint", str(ckpt),
+                   "--workers", "2", "--no-http"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "single-process run; --workers ignored" in out
+        assert "in-process" in out
+        assert "hours settled:       2/2" in out
+
+    def test_telemetry_streams_every_settled_hour(self, capsys, tmp_path):
+        import json
+
+        path = tmp_path / "telemetry.jsonl"
+        rc = main(["serve", "--hours", "2", "--ticks-per-hour", "4",
+                   "--monthly-budget", "2e6", "--no-http",
+                   "--decision-log", str(tmp_path / "d.jsonl"),
+                   "--telemetry", str(path)])
+        assert rc == 0
+        assert "telemetry:" in capsys.readouterr().out
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert any(r["type"] == "span" for r in records)
+        # One counter snapshot per settled hour, plus the final drain.
+        settled = [
+            r["value"] for r in records
+            if r["type"] == "counter" and r["name"] == "service.hours_settled"
+        ]
+        assert settled == [1, 2, 2]
 
     def test_checkpointed_run_then_resume_completes(self, capsys, tmp_path):
         log = tmp_path / "decisions.jsonl"
