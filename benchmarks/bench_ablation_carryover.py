@@ -23,20 +23,26 @@ from conftest import BENCH_HOURS, monthly_budget_from, run_once
 from _report import report, table
 
 
-def test_ablation_carryover(benchmark, world, simulator, uncapped):
+def test_ablation_carryover(benchmark, world, engine, uncapped):
     monthly = monthly_budget_from(uncapped, world, PAPER_BUDGET_LEVELS["1.5M"])
 
     with_carry = run_once(
         benchmark,
-        lambda: simulator.run_capping(
-            world.budgeter(monthly, carryover=True), hours=BENCH_HOURS
+        lambda: engine.run(
+            "capping",
+            budgeter=world.budgeter(monthly, carryover=True),
+            hours=BENCH_HOURS,
         ),
     )
-    without = simulator.run_capping(
-        world.budgeter(monthly, carryover=False), hours=BENCH_HOURS
+    without = engine.run(
+        "capping",
+        budgeter=world.budgeter(monthly, carryover=False),
+        hours=BENCH_HOURS,
     )
-    clawback = simulator.run_capping(
-        world.budgeter(monthly, claw_back_deficit=True), hours=BENCH_HOURS
+    clawback = engine.run(
+        "capping",
+        budgeter=world.budgeter(monthly, claw_back_deficit=True),
+        hours=BENCH_HOURS,
     )
 
     rows = [

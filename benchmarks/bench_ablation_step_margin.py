@@ -12,6 +12,7 @@ conservative 5%.
 import pytest
 
 from repro.core import BillCapper, CostMinimizer, ThroughputMaximizer
+from repro.sim.strategies import CappingStrategy
 
 from conftest import BENCH_HOURS, run_once
 
@@ -20,18 +21,18 @@ from _report import report, table
 _HOURS = max(48, BENCH_HOURS // 3)
 
 
-def _run(simulator, margin: float) -> float:
+def _run(engine, margin: float) -> float:
     capper = BillCapper(
         cost_minimizer=CostMinimizer(step_margin_frac=margin),
         throughput_maximizer=ThroughputMaximizer(step_margin_frac=margin),
     )
-    return simulator.run_capping(capper=capper, hours=_HOURS).total_cost
+    return engine.run(CappingStrategy(capper=capper), hours=_HOURS).total_cost
 
 
-def test_ablation_step_margin(benchmark, simulator):
-    default = run_once(benchmark, lambda: _run(simulator, 0.01))
-    none = _run(simulator, 0.0)
-    wide = _run(simulator, 0.05)
+def test_ablation_step_margin(benchmark, engine):
+    default = run_once(benchmark, lambda: _run(engine, 0.01))
+    none = _run(engine, 0.0)
+    wide = _run(engine, 0.05)
 
     rows = [
         ("0% (no margin)", f"{none:,.0f}"),

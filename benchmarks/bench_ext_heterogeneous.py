@@ -11,9 +11,8 @@ worst-case all-legacy fleet.
 
 import pytest
 
-from repro.core import PriceMode
 from repro.experiments import paper_world
-from repro.sim import Simulator
+from repro.sim import Engine
 
 from conftest import BENCH_HOURS
 
@@ -27,14 +26,14 @@ def test_ext_heterogeneous_fleets(benchmark):
     homo = paper_world(max_servers=_SERVERS)
     hetero = paper_world(max_servers=_SERVERS, heterogeneous=True)
 
-    sim_homo = Simulator(homo.sites, homo.workload, homo.mix)
-    sim_het = Simulator(hetero.sites, hetero.workload, hetero.mix)
+    homo_engine = Engine(homo.sites, homo.workload, homo.mix)
+    het_engine = Engine(hetero.sites, hetero.workload, hetero.mix)
 
     het_capping = benchmark.pedantic(
-        lambda: sim_het.run_capping(hours=_HOURS), rounds=1, iterations=1
+        lambda: het_engine.run("capping", hours=_HOURS), rounds=1, iterations=1
     )
-    het_baseline = sim_het.run_min_only(PriceMode.AVG, hours=_HOURS)
-    homo_capping = sim_homo.run_capping(hours=_HOURS)
+    het_baseline = het_engine.run("min-only-avg", hours=_HOURS)
+    homo_capping = homo_engine.run("capping", hours=_HOURS)
 
     rows = [
         (

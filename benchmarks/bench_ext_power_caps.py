@@ -16,9 +16,8 @@ suffers.
 
 import pytest
 
-from repro.core import PriceMode
 from repro.experiments import paper_world
-from repro.sim import Simulator
+from repro.sim import Engine
 
 from conftest import BENCH_HOURS
 
@@ -40,12 +39,12 @@ def capped_world():
 
 def test_ext_power_caps(benchmark, capped_world):
     world, cap = capped_world
-    sim = Simulator(world.sites, world.workload, world.mix)
+    engine = Engine(world.sites, world.workload, world.mix)
 
     capping = benchmark.pedantic(
-        lambda: sim.run_capping(hours=_HOURS), rounds=1, iterations=1
+        lambda: engine.run("capping", hours=_HOURS), rounds=1, iterations=1
     )
-    min_only = sim.run_min_only(PriceMode.AVG, hours=_HOURS)
+    min_only = engine.run("min-only-avg", hours=_HOURS)
 
     def max_power(res):
         return max(rec.power_mw for h in res.hours for rec in h.sites)

@@ -35,7 +35,7 @@ def _corrupted_predictor(world):
     return HourOfWeekPredictor(bad_history)
 
 
-def test_ext_prediction_error(benchmark, world, simulator, uncapped):
+def test_ext_prediction_error(benchmark, world, engine, uncapped):
     monthly = monthly_budget_from(uncapped, world, PAPER_BUDGET_LEVELS["1.5M"])
     predictor = _corrupted_predictor(world)
     # Treat the bench horizon as a complete budgeting period so both
@@ -45,8 +45,9 @@ def test_ext_prediction_error(benchmark, world, simulator, uncapped):
 
     plain = run_once(
         benchmark,
-        lambda: simulator.run_capping(
-            Budgeter(
+        lambda: engine.run(
+            "capping",
+            budgeter=Budgeter(
                 budget_slice,
                 predictor,
                 month_hours=_HOURS,
@@ -56,8 +57,9 @@ def test_ext_prediction_error(benchmark, world, simulator, uncapped):
             name="plain-corrupted",
         ),
     )
-    adaptive = simulator.run_capping(
-        AdaptiveBudgeter(
+    adaptive = engine.run(
+        "capping",
+        budgeter=AdaptiveBudgeter(
             budget_slice,
             predictor,
             month_hours=_HOURS,

@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro.experiments import PAPER_BUDGET_LEVELS
-from repro.sim.sweep import capped_month_metric, run_sweep, sweep_grid
+from repro.sim.sweep import run_sweep, strategy_metric, sweep_grid
 
 from conftest import BENCH_HOURS, monthly_budget_from, run_once
 
@@ -23,7 +23,7 @@ from _report import report, table
 
 
 @pytest.fixture(scope="module")
-def sweep(world, simulator, uncapped):
+def sweep(world, engine, uncapped):
     """The paper's five budget levels through the scenario-sweep engine.
 
     Budget levels are independent given the world, so they form a
@@ -39,19 +39,22 @@ def sweep(world, simulator, uncapped):
         ]
     )
     for sc in scenarios:
-        sc["hours"] = BENCH_HOURS
+        sc.update(strategy="capping", hours=BENCH_HOURS)
     results = run_sweep(
-        capped_month_metric,
+        strategy_metric,
         scenarios,
         workers=int(os.environ.get("REPRO_BENCH_WORKERS", "1")),
     )
     return dict(zip(labels, results))
 
 
-def test_fig10_budget_sweep(benchmark, world, simulator, uncapped, sweep):
+def test_fig10_budget_sweep(benchmark, world, engine, uncapped, sweep):
     benchmark.pedantic(
-        lambda: simulator.run_capping(
-            world.budgeter(monthly_budget_from(uncapped, world, 0.85)),
+        lambda: engine.run(
+            "capping",
+            budgeter=world.budgeter(
+                monthly_budget_from(uncapped, world, 0.85)
+            ),
             hours=min(48, BENCH_HOURS),
         ),
         rounds=1,

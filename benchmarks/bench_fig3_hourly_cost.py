@@ -22,11 +22,11 @@ from conftest import BENCH_HOURS, run_once
 from _report import report, table
 
 
-def test_fig3_hourly_cost_comparison(benchmark, simulator, uncapped, min_only_avg, min_only_low):
+def test_fig3_hourly_cost_comparison(benchmark, engine, uncapped, min_only_avg, min_only_low):
     # The heavy runs are session fixtures; benchmark the capping month once
     # more so pytest-benchmark reports its cost.
     capping = run_once(
-        benchmark, lambda: simulator.run_capping(hours=min(48, BENCH_HOURS))
+        benchmark, lambda: engine.run("capping", hours=min(48, BENCH_HOURS))
     )
     assert capping.total_cost > 0
 

@@ -12,9 +12,8 @@ tripled increments). Claims reproduced:
 
 import pytest
 
-from repro.core import PriceMode
 from repro.experiments import paper_world
-from repro.sim import Simulator
+from repro.sim import Engine
 
 from conftest import BENCH_HOURS
 
@@ -29,11 +28,11 @@ def policy_results():
     out = {}
     for pid in (0, 1, 2, 3):
         w = paper_world(pid)
-        sim = Simulator(w.sites, w.workload, w.mix)
+        engine = Engine(w.sites, w.workload, w.mix)
         out[pid] = {
-            "cc": sim.run_capping(hours=_HOURS).total_cost,
-            "avg": sim.run_min_only(PriceMode.AVG, hours=_HOURS).total_cost,
-            "low": sim.run_min_only(PriceMode.LOW, hours=_HOURS).total_cost,
+            "cc": engine.run("capping", hours=_HOURS).total_cost,
+            "avg": engine.run("min-only-avg", hours=_HOURS).total_cost,
+            "low": engine.run("min-only-low", hours=_HOURS).total_cost,
         }
     return out
 
@@ -41,9 +40,11 @@ def policy_results():
 def test_fig4_policy_sweep(benchmark, policy_results):
     # Benchmark one representative strategy-month (the rest are cached).
     w = paper_world(1)
-    sim = Simulator(w.sites, w.workload, w.mix)
+    engine = Engine(w.sites, w.workload, w.mix)
     benchmark.pedantic(
-        lambda: sim.run_capping(hours=min(48, _HOURS)), rounds=1, iterations=1
+        lambda: engine.run("capping", hours=min(48, _HOURS)),
+        rounds=1,
+        iterations=1,
     )
 
     rows = []

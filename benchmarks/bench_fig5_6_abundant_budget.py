@@ -16,11 +16,13 @@ from conftest import BENCH_HOURS, monthly_budget_from, run_once
 from _report import report, table
 
 
-def test_fig5_6_abundant_budget(benchmark, world, simulator, uncapped):
+def test_fig5_6_abundant_budget(benchmark, world, engine, uncapped):
     monthly = monthly_budget_from(uncapped, world, PAPER_BUDGET_LEVELS["2.5M"])
     capped = run_once(
         benchmark,
-        lambda: simulator.run_capping(world.budgeter(monthly), hours=BENCH_HOURS),
+        lambda: engine.run(
+            "capping", budgeter=world.budgeter(monthly), hours=BENCH_HOURS
+        ),
     )
 
     step = max(1, BENCH_HOURS // 48)

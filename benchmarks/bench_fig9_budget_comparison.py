@@ -20,12 +20,14 @@ from _report import report, table
 
 
 def test_fig9_budget_comparison(
-    benchmark, world, simulator, uncapped, min_only_avg, min_only_low
+    benchmark, world, engine, uncapped, min_only_avg, min_only_low
 ):
     monthly = monthly_budget_from(uncapped, world, PAPER_BUDGET_LEVELS["1.5M"])
     capped = run_once(
         benchmark,
-        lambda: simulator.run_capping(world.budgeter(monthly), hours=BENCH_HOURS),
+        lambda: engine.run(
+            "capping", budgeter=world.budgeter(monthly), hours=BENCH_HOURS
+        ),
     )
 
     budget_slice = monthly * BENCH_HOURS / world.hours

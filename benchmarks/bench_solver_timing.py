@@ -236,7 +236,7 @@ def _repeated_hour_case(world, n_sites: int, n_hours: int, passes: int) -> dict:
         )
     )
     # Hot: one default minimizer across the sequence (compiled-model
-    # cache + warm-started B&B, exactly what the Simulator holds).
+    # cache + warm-started B&B, exactly what the engine holds).
     hot = CostMinimizer()
     hot_s = run(lambda: hot)
     scipy_s = run(lambda: CostMinimizer(backend="scipy"))
@@ -299,7 +299,7 @@ def _large_fleet_case(
     """Hourly cost-min dispatch at fleet scale via the decomposition path.
 
     Times the hot decomposed solve over a repeated-hour sequence (warm
-    multipliers carry over, exactly like the Simulator's usage). Where a
+    multipliers carry over, exactly like the engine's usage). Where a
     monolithic reference is still affordable (``monolithic=True``) the
     same hours are solved by SciPy/HiGHS and the worst per-hour cost gap
     is recorded; past that scale only the per-hour latency is judged.

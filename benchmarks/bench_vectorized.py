@@ -122,10 +122,10 @@ def _batched_power_price_case(quick: bool) -> dict:
 
 
 def _e2e_capping_case(quick: bool) -> dict:
-    """Monthly capping sim: default hot path vs the PR 3 baseline path."""
+    """Monthly capping run: default hot path vs the PR 3 baseline path."""
     from repro.core import DispatchModelCache
     from repro.experiments import paper_world
-    from repro.sim import Simulator
+    from repro.sim import Engine
 
     world = paper_world()
     hours = 24 if quick else 72
@@ -135,10 +135,10 @@ def _e2e_capping_case(quick: bool) -> dict:
         prev = DispatchModelCache.default_use_enum_kernel
         DispatchModelCache.default_use_enum_kernel = enum_kernel
         try:
-            sim = Simulator(
+            engine = Engine(
                 world.sites, world.workload, world.mix, batched=batched
             )
-            return sim.run_capping(hours=hours)
+            return engine.run("capping", hours=hours)
         finally:
             DispatchModelCache.default_use_enum_kernel = prev
 

@@ -16,9 +16,8 @@ import os
 
 import pytest
 
-from repro.core import PriceMode
 from repro.experiments import paper_world
-from repro.sim import Simulator
+from repro.sim import Engine
 
 #: Simulated horizon per strategy run (hours).
 BENCH_HOURS = int(os.environ.get("REPRO_BENCH_HOURS", "360"))
@@ -55,24 +54,24 @@ def world():
 
 
 @pytest.fixture(scope="session")
-def simulator(world):
-    return Simulator(world.sites, world.workload, world.mix)
+def engine(world):
+    return Engine(world.sites, world.workload, world.mix)
 
 
 @pytest.fixture(scope="session")
-def uncapped(simulator):
+def uncapped(engine):
     """Uncapped Cost Capping over the bench horizon (budget anchor)."""
-    return simulator.run_capping(hours=BENCH_HOURS)
+    return engine.run("capping", hours=BENCH_HOURS)
 
 
 @pytest.fixture(scope="session")
-def min_only_avg(simulator):
-    return simulator.run_min_only(PriceMode.AVG, hours=BENCH_HOURS)
+def min_only_avg(engine):
+    return engine.run("min-only-avg", hours=BENCH_HOURS)
 
 
 @pytest.fixture(scope="session")
-def min_only_low(simulator):
-    return simulator.run_min_only(PriceMode.LOW, hours=BENCH_HOURS)
+def min_only_low(engine):
+    return engine.run("min-only-low", hours=BENCH_HOURS)
 
 
 def monthly_budget_from(uncapped_result, world, fraction: float) -> float:

@@ -15,7 +15,7 @@ import argparse
 
 from repro.core import CappingStep
 from repro.experiments import paper_world
-from repro.sim import Simulator
+from repro.sim import Engine
 
 
 def main() -> None:
@@ -25,12 +25,12 @@ def main() -> None:
     hours = args.days * 24
 
     world = paper_world(max_servers=500_000)
-    sim = Simulator(world.sites, world.workload, world.mix)
+    engine = Engine(world.sites, world.workload, world.mix)
 
     # Calibrate the budget: 85% of the uncapped spend — the "tight"
     # regime of the paper's $1.5M level (premium traffic alone costs
     # ~75% of the bill in this world, so 85% forces real trade-offs).
-    uncapped = sim.run_capping(hours=hours)
+    uncapped = engine.run("capping", hours=hours)
     monthly_budget = uncapped.total_cost * (world.hours / hours) * 0.85
     print(
         f"Uncapped spend over {args.days} days: ${uncapped.total_cost:,.0f}; "
@@ -38,7 +38,7 @@ def main() -> None:
     )
 
     budgeter = world.budgeter(monthly_budget)
-    capped = sim.run_capping(budgeter, hours=hours)
+    capped = engine.run("capping", budgeter=budgeter, hours=hours)
 
     print(f"\n{'day':>4} {'cost $':>10} {'budget $':>10} {'prem%':>7} {'ord%':>7} {'steps'}")
     for day in range(args.days):

@@ -4,7 +4,7 @@
 The paper's control loop runs hourly against real-world inputs — ISO
 price feeds, background-demand telemetry, a MILP stack, a stateful
 budgeter — every one of which can fail. This example drives the
-simulator through a seeded storm of those failures and checks the
+engine through a seeded storm of those failures and checks the
 graceful-degradation contract:
 
 * every hour still carries a dispatch decision (no crashed hours);
@@ -12,7 +12,7 @@ graceful-degradation contract:
   marked as DEGRADED hours;
 * budgeter restarts resume from the hourly checkpoint;
 * telemetry counts every injected fault and degraded hour;
-* with no faults, the simulator's output is bit-identical to a plain
+* with no faults, the engine's output is bit-identical to a plain
   run (the resilience layer is pay-per-fault).
 
 Run ``python examples/chaos_month.py --hours 48`` for the CI-sized
@@ -23,7 +23,7 @@ import argparse
 
 from repro.experiments import paper_world
 from repro.resilience import DegradationPolicy, FaultInjector, FaultSpec
-from repro.sim import Simulator
+from repro.sim import Engine
 from repro.telemetry import Telemetry
 
 
@@ -34,11 +34,11 @@ def main() -> int:
     args = parser.parse_args()
 
     world = paper_world(max_servers=500_000, seed=3)
-    sim = Simulator(world.sites, world.workload, world.mix)
+    engine = Engine(world.sites, world.workload, world.mix)
 
     # Anchor: an uncapped run prices the month and doubles as the
     # bit-identical reference for the fault-free path below.
-    anchor = sim.run_capping(hours=args.hours, name="anchor")
+    anchor = engine.run("capping", hours=args.hours, name="anchor")
     monthly = anchor.total_cost * world.hours / args.hours * 0.9
     print(f"anchor (no faults):  ${anchor.total_cost:,.0f} over {args.hours} h "
           f"-> monthly budget ${monthly:,.0f}")
@@ -59,9 +59,10 @@ def main() -> int:
           + ", ".join(f"{k}={v}" for k, v in injected.items() if v))
 
     tel = Telemetry()
-    chaos_sim = Simulator(world.sites, world.workload, world.mix, telemetry=tel)
-    result = chaos_sim.run_capping(
-        world.budgeter(monthly),
+    chaos_engine = Engine(world.sites, world.workload, world.mix, telemetry=tel)
+    result = chaos_engine.run(
+        "capping",
+        budgeter=world.budgeter(monthly),
         hours=args.hours,
         name="chaos",
         faults=injector,
@@ -97,13 +98,16 @@ def main() -> int:
 
     # Fault-free determinism: a zero-probability injector must reproduce
     # the anchor bit for bit.
-    clean_sim = Simulator(world.sites, world.workload, world.mix)
-    clean = clean_sim.run_capping(
-        hours=args.hours, name="anchor", faults=FaultInjector(FaultSpec())
+    clean_engine = Engine(world.sites, world.workload, world.mix)
+    clean = clean_engine.run(
+        "capping",
+        hours=args.hours,
+        name="anchor",
+        faults=FaultInjector(FaultSpec()),
     )
     assert [h.realized_cost for h in clean.hours] == [
         h.realized_cost for h in anchor.hours
-    ], "fault-free path diverged from the plain simulator"
+    ], "fault-free path diverged from the plain run"
 
     print("\nall chaos invariants hold: every hour dispatched, degraded "
           "hours counted, fault-free path bit-identical.")

@@ -14,7 +14,7 @@ Run:
 """
 
 from repro.experiments import paper_world
-from repro.sim import Simulator
+from repro.sim import Engine
 from repro.workload import FlashCrowd
 
 
@@ -24,19 +24,21 @@ def main() -> None:
     stormy = paper_world(max_servers=500_000, flash_crowds=(crowd,))
 
     hours = 72
-    sim_calm = Simulator(calm.sites, calm.workload, calm.mix)
-    sim_storm = Simulator(stormy.sites, stormy.workload, stormy.mix)
+    calm_engine = Engine(calm.sites, calm.workload, calm.mix)
+    storm_engine = Engine(stormy.sites, stormy.workload, stormy.mix)
 
     # Budget provisioned from *calm* history — the spike is unexpected.
-    base = sim_calm.run_capping(hours=hours)
+    base = calm_engine.run("capping", hours=hours)
     monthly_budget = base.total_cost * (calm.hours / hours) * 1.05
     print(
         f"Budget provisioned for calm traffic (+5% safety): "
         f"${monthly_budget:,.0f}/month"
     )
 
-    uncapped = sim_storm.run_capping(hours=hours)
-    capped = sim_storm.run_capping(stormy.budgeter(monthly_budget), hours=hours)
+    uncapped = storm_engine.run("capping", hours=hours)
+    capped = storm_engine.run(
+        "capping", budgeter=stormy.budgeter(monthly_budget), hours=hours
+    )
 
     print(f"\n{'hour':>5} {'demand Mrps':>12} {'uncapped $':>11} {'capped $':>10} {'ord%':>6}")
     for t in range(24, 48):

@@ -15,7 +15,7 @@ Run:
 import numpy as np
 
 from repro.core import AdaptiveBudgeter, Budgeter
-from repro.sim import Simulator
+from repro.sim import Engine
 from repro.experiments import paper_world
 from repro.workload import (
     EwmaByHourPredictor,
@@ -44,9 +44,9 @@ def main() -> None:
         )
 
     # --- budget consequences of a corrupted forecast -----------------------
-    sim = Simulator(world.sites, world.workload, world.mix)
+    engine = Engine(world.sites, world.workload, world.mix)
     hours = 7 * 24
-    anchor = sim.run_capping(hours=hours)
+    anchor = engine.run("capping", hours=hours)
     budget = anchor.total_cost * 0.85
 
     bad_history = wikipedia_like_trace(
@@ -58,14 +58,16 @@ def main() -> None:
     )
     corrupted = HourOfWeekPredictor(bad_history)
 
-    plain = sim.run_capping(
-        Budgeter(budget, corrupted, month_hours=hours,
-                 start_weekday=world.workload.start_weekday),
+    plain = engine.run(
+        "capping",
+        budgeter=Budgeter(budget, corrupted, month_hours=hours,
+                          start_weekday=world.workload.start_weekday),
         hours=hours,
     )
-    adaptive = sim.run_capping(
-        AdaptiveBudgeter(budget, corrupted, month_hours=hours,
-                         start_weekday=world.workload.start_weekday),
+    adaptive = engine.run(
+        "capping",
+        budgeter=AdaptiveBudgeter(budget, corrupted, month_hours=hours,
+                                  start_weekday=world.workload.start_weekday),
         hours=hours,
     )
 

@@ -27,7 +27,7 @@ from .core import (
 )
 from .experiments import PaperWorld, paper_world
 from .resilience import DegradationPolicy, FaultInjector, FaultSpec
-from .sim import SimulationResult, Simulator
+from .sim import Engine, SimulationResult
 from .telemetry import Telemetry, get_telemetry, use_telemetry
 
 __version__ = "1.2.0"
@@ -40,7 +40,7 @@ __all__ = [
     "MinOnlyDispatcher",
     "PriceMode",
     "Site",
-    "Simulator",
+    "Engine",
     "SimulationResult",
     "PaperWorld",
     "paper_world",

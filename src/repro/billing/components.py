@@ -23,6 +23,7 @@ for checkpoints, exactly like strategies and budgeters do.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -186,8 +187,13 @@ class DemandCharge(TariffComponent):
         rate_per_kw: float = DEFAULT_DEMAND_RATE_PER_KW,
         cycle_hours: int = HOURS_PER_MONTH,
     ) -> None:
-        if rate_per_kw < 0:
-            raise ValueError("demand rate must be >= 0")
+        # NaN fails every comparison, so the sign check alone would
+        # let it (and inf) through into a $nan bill or an infeasible
+        # peak row.
+        if not (math.isfinite(rate_per_kw) and rate_per_kw >= 0):
+            raise ValueError(
+                f"demand rate must be finite and >= 0, got {rate_per_kw}"
+            )
         if cycle_hours < 1:
             raise ValueError("billing cycle must be >= 1 hour")
         self.rate_per_kw = float(rate_per_kw)

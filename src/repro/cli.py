@@ -33,6 +33,9 @@ Commands
     ``compare`` and ``sweep`` accept ``--tariff SPEC`` to settle the run
     against a multi-component tariff (e.g. ``energy+demand:rate=6``)
     instead of the paper's energy-only bill.
+``solvers``
+    List the registered solver backends. ``simulate``, ``serve``,
+    ``compare``, ``sweep`` and ``study`` accept ``--solver-backend NAME``.
 ``headroom``
     LMPs plus single-solve load-growth headroom per consumer bus.
 ``study``
@@ -45,9 +48,14 @@ Commands
     Summarize (``summary``) or aggregate-export (``export``) a JSONL
     telemetry trace produced with ``--trace``.
 
-The simulation commands (``simulate``, ``compare``, ``study``) accept
-``--trace PATH``: the run then records spans and solver metrics and
-writes a JSONL sidecar to ``PATH`` on completion.
+The batch commands (``simulate``, ``resume``, ``compare``, ``sweep``,
+``study``) accept ``--trace PATH``: the run then records spans and
+solver metrics and writes a JSONL sidecar to ``PATH`` on completion.
+``serve`` streams its telemetry with ``--telemetry PATH`` instead.
+
+Each flag is declared once, on a parent parser that every command
+taking it shares, and ``main`` checks ``--solver-backend``, ``--tariff``
+and a batch command's ``--hours`` in one place before any command runs.
 """
 
 from __future__ import annotations
@@ -114,6 +122,52 @@ _positive = _finite(0.0, strict=True)
 _non_negative = _finite(0.0, strict=False)
 
 
+def _count(text: str) -> int:
+    """argparse type: an integer >= 1 (hours, seeds, cycle lengths)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
+def _registered(names: tuple[str, ...]):
+    """argparse type factory: one of the registered ``names``."""
+
+    def parse(text: str) -> str:
+        if text not in names:
+            raise argparse.ArgumentTypeError(
+                f"unknown strategy {text!r}; expected among {names}"
+            )
+        return text
+
+    return parse
+
+
+def _list_of(item, *, none: tuple[str, ...] = ()):
+    """argparse type factory: a comma-separated list of ``item`` values.
+
+    Blank tokens are skipped, a token in ``none`` (any case) stands for
+    ``None``, and every other token goes through the ``item`` type, so
+    it is range-checked like the single-valued flag would be. An empty
+    list is refused.
+    """
+
+    def parse(text: str) -> list:
+        values = []
+        for token in text.split(","):
+            token = token.strip()
+            if token:
+                values.append(None if token.lower() in none else item(token))
+        if not values:
+            raise argparse.ArgumentTypeError("needs at least one value")
+        return values
+
+    return parse
+
+
 def _cmd_lmp_sweep(args: argparse.Namespace) -> int:
     from .powermarket import DcOpf, LOAD_SHARES, pjm5bus
 
@@ -147,47 +201,70 @@ def _print_summary(name: str, result) -> None:
     print(f"  peak power:          {s['peak_power_mw']:.1f} MW")
 
 
-def _apply_solver_backend(args: argparse.Namespace) -> int | None:
-    """Validate --solver-backend and export it to the optimizers.
+def _preflight(args: argparse.Namespace) -> int | None:
+    """Check what the parser alone cannot, before any command runs.
 
-    The name is published via ``REPRO_SOLVER_BACKEND`` so every
-    optimizer constructed anywhere inside the run (strategies build
-    their own) resolves it without threading a parameter through each
-    layer. Returns an exit code on a bad name, None to proceed.
+    * ``--solver-backend`` must name a registered backend. It is then
+      published via ``REPRO_SOLVER_BACKEND`` so every optimizer
+      constructed anywhere inside the run (strategies build their own)
+      resolves it without threading a parameter through each layer.
+    * Each ``--tariff`` spec (for ``sweep``, every spec of its tariff
+      axis) is parsed once through :func:`repro.billing.make_ledger`, so
+      a typo'd component or parameter fails with the registry's message
+      instead of mid-run.
+    * A batch command's ``--hours`` must fit the world's month.
+
+    Returns an exit code on a bad value, None to proceed.
     """
     name = getattr(args, "solver_backend", None)
-    if not name:
-        return None
-    from .solver.registry import backend_spec
+    if name:
+        from .solver.registry import backend_spec
 
-    try:
-        backend_spec(name)
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 2
-    os.environ["REPRO_SOLVER_BACKEND"] = name
+        try:
+            backend_spec(name)
+        except ValueError as exc:
+            print(f"error: {exc}")
+            return 2
+        os.environ["REPRO_SOLVER_BACKEND"] = name
+    if hasattr(args, "tariff"):
+        from .billing import make_ledger
+
+        for spec in _tariff_axis(args):
+            try:
+                make_ledger(spec)
+            except ValueError as exc:
+                print(f"error: {exc}")
+                return 2
+    if args.func in (_cmd_simulate, _cmd_compare, _cmd_sweep, _cmd_study):
+        horizon = _build_world(args).hours
+        if args.hours > horizon:
+            print(f"error: --hours must be in 1..{horizon} (the world's "
+                  f"month), got {args.hours}")
+            return 2
     return None
 
 
-def _validate_tariff(args: argparse.Namespace) -> int | None:
-    """Validate --tariff before any expensive work.
+def _monthly_budget(args: argparse.Namespace, world, strategy, hours: int,
+                    engine=None) -> float | None:
+    """The monthly budget ``--budget-fraction`` asks for, or None.
 
-    Parses the spec once through :func:`repro.billing.make_ledger` so a
-    typo'd component or parameter fails with the registry's error
-    message instead of mid-run. Returns an exit code on a bad spec,
-    None to proceed.
+    Runs the uncapped anchor over ``hours`` and prints the resolved
+    budget; a price taker gets a note instead, since it takes no budget.
     """
-    spec = getattr(args, "tariff", None)
-    if spec is None:
+    if args.budget_fraction is None:
         return None
-    from .billing import make_ledger
+    if not strategy.wants_budget:
+        print(f"note: {args.strategy} is a price taker; "
+              "--budget-fraction has no effect")
+        return None
+    from .sim import resolve_monthly_budget
 
-    try:
-        make_ledger(spec)
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 2
-    return None
+    monthly = resolve_monthly_budget(
+        world, args.budget_fraction, hours=hours, engine=engine
+    )
+    print(f"monthly budget: ${monthly:,.0f} "
+          f"({args.budget_fraction:.0%} of uncapped spend)")
+    return monthly
 
 
 def _print_bill_components(hours) -> None:
@@ -270,11 +347,7 @@ def _endogenous_middleware(endogenous: dict | None, engine):
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .sim import Engine, get_strategy, resolve_monthly_budget
-
-    code = _apply_solver_backend(args) or _validate_tariff(args)
-    if code is not None:
-        return code
+    from .sim import Engine, get_strategy
 
     faults = None
     degradation = None
@@ -291,20 +364,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     world = _build_world(args)
     engine = Engine(world.sites, world.workload, world.mix)
     strategy = get_strategy(args.strategy)
-    budgeter = None
-    if args.budget_fraction is not None:
-        if not strategy.wants_budget:
-            print(f"note: {args.strategy} is a price taker; "
-                  "--budget-fraction has no effect")
-        else:
-            # The anchor run is untraced on purpose: it exists only to
-            # scale the budget, and would double every solver metric.
-            monthly = resolve_monthly_budget(
-                world, args.budget_fraction, hours=args.hours, engine=engine
-            )
-            print(f"monthly budget: ${monthly:,.0f} "
-                  f"({args.budget_fraction:.0%} of uncapped spend)")
-            budgeter = world.budgeter(monthly)
+    # The anchor run is untraced on purpose: it exists only to scale
+    # the budget, and would double every solver metric.
+    monthly = _monthly_budget(args, world, strategy, args.hours, engine)
+    budgeter = world.budgeter(monthly) if monthly is not None else None
     endogenous = (
         {"grid": args.grid, "damping": args.damping}
         if args.endogenous_prices else None
@@ -375,7 +438,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 def _serve_spec(args: argparse.Namespace) -> dict:
     """The control-plane spec for a fresh ``repro serve`` run."""
     from .service.shard import build_world
-    from .sim import Engine, get_strategy, resolve_monthly_budget
+    from .sim import get_strategy
     from .workload import read_trace_csv
 
     n_sites = args.sites
@@ -393,17 +456,8 @@ def _serve_spec(args: argparse.Namespace) -> dict:
         print(f"note: horizon clipped to {hours} h (trace length)")
     strategy = get_strategy(args.strategy)
     monthly = args.monthly_budget
-    if monthly is None and args.budget_fraction is not None:
-        if not strategy.wants_budget:
-            print(f"note: {args.strategy} is a price taker; "
-                  "--budget-fraction has no effect")
-        else:
-            monthly = resolve_monthly_budget(
-                world, args.budget_fraction, hours=hours,
-                engine=Engine(world.sites, world.workload, world.mix),
-            )
-            print(f"monthly budget: ${monthly:,.0f} "
-                  f"({args.budget_fraction:.0%} of uncapped spend)")
+    if monthly is None:
+        monthly = _monthly_budget(args, world, strategy, hours)
     return {
         "world": world_spec,
         "source": {
@@ -446,9 +500,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint")
         return 2
-    code = _apply_solver_backend(args) or _validate_tariff(args)
-    if code is not None:
-        return code
     if args.resume and args.tariff is not None:
         print("note: --resume reads the tariff from the checkpoint; "
               "--tariff ignored")
@@ -586,24 +637,9 @@ def _report_comparison(ordered: "dict[str, object]") -> None:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from .sim import STRATEGIES, available_strategies
+    from .sim import STRATEGIES
 
-    code = _apply_solver_backend(args) or _validate_tariff(args)
-    if code is not None:
-        return code
-    if args.strategies is None:
-        strategies = list(STRATEGIES)
-    else:
-        strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-        known = available_strategies()
-        unknown = [s for s in strategies if s not in known]
-        if not strategies:
-            print("error: --strategies needs at least one name")
-            return 2
-        if unknown:
-            print(f"error: unknown strategies {unknown}; "
-                  f"expected among {known}")
-            return 2
+    strategies = args.strategies or list(STRATEGIES)
     workers = args.workers
     if workers > 1 and args.trace is not None:
         # Telemetry is recorded in-process; a fanned-out run would
@@ -642,57 +678,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_tariff_axis(args: argparse.Namespace) -> "list[str | None] | int":
-    """The sweep's tariff axis from --tariff/--demand-rates/--cycle-hours.
+def _tariff_axis(args: argparse.Namespace) -> "list[str | None]":
+    """A run's tariff specs: --tariff, or sweep's demand-charge axis.
 
-    Without either axis flag the axis is the single base spec (--tariff,
-    possibly None = default energy). Each demand rate x cycle length
-    otherwise appends a parameterized ``demand`` component to the base
-    spec; the rate token 'none' keeps an energy-only scenario in the
-    grid as the comparison point. Returns an exit code on a bad value.
+    Without ``--demand-rates``/``--cycle-hours`` the axis is the single
+    base spec (--tariff, possibly None = default energy). Each demand
+    rate x cycle length otherwise appends a parameterized ``demand``
+    component to the base spec; the rate token 'none' keeps an
+    energy-only scenario in the grid as the comparison point.
     """
     base = args.tariff or "energy"
-    rates: list[float | None] | None = None
-    if args.demand_rates is not None:
-        rates = []
-        for token in args.demand_rates.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if token.lower() in ("none", "energy"):
-                rates.append(None)
-                continue
-            try:
-                value = float(token)
-            except ValueError:
-                print(f"error: bad demand rate {token!r}")
-                return 2
-            if value < 0.0:
-                print(f"error: demand rates must be >= 0, got {token}")
-                return 2
-            rates.append(value)
-        if not rates:
-            print("error: --demand-rates needs at least one value")
-            return 2
-    cycles: list[int] | None = None
-    if args.cycle_hours is not None:
-        cycles = []
-        for token in args.cycle_hours.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            try:
-                value = int(token)
-            except ValueError:
-                print(f"error: bad billing-cycle length {token!r}")
-                return 2
-            if value < 1:
-                print(f"error: cycle hours must be >= 1, got {token}")
-                return 2
-            cycles.append(value)
-        if not cycles:
-            print("error: --cycle-hours needs at least one value")
-            return 2
+    rates = getattr(args, "demand_rates", None)
+    cycles = getattr(args, "cycle_hours", None)
     if rates is None and cycles is None:
         return [args.tariff]
     tariffs: list[str | None] = []
@@ -718,44 +715,8 @@ def _sweep_tariff_axis(args: argparse.Namespace) -> "list[str | None] | int":
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .sim.sweep import run_sweep, strategy_metric, sweep_grid
 
-    code = _apply_solver_backend(args) or _validate_tariff(args)
-    if code is not None:
-        return code
-    tariffs = _sweep_tariff_axis(args)
-    if isinstance(tariffs, int):
-        return tariffs
-    from .billing import make_ledger
-
-    for spec in tariffs:
-        try:
-            make_ledger(spec)
-        except ValueError as exc:
-            print(f"error: {exc}")
-            return 2
-    fractions: list[float | None] = []
-    for token in args.budget_fractions.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token.lower() in ("none", "uncapped"):
-            fractions.append(None)
-            continue
-        try:
-            value = float(token)
-        except ValueError:
-            print(f"error: bad budget fraction {token!r}")
-            return 2
-        if value <= 0.0:
-            print(f"error: budget fractions must be positive, got {token}")
-            return 2
-        fractions.append(value)
-    if not fractions:
-        print("error: --budget-fractions needs at least one value")
-        return 2
-    if args.seeds < 1:
-        print("error: --seeds must be >= 1")
-        return 2
-
+    tariffs = _tariff_axis(args)
+    fractions = args.budget_fractions
     scenarios = sweep_grid(
         seed=[args.seed + i for i in range(args.seeds)],
         budget_fraction=fractions,
@@ -853,7 +814,7 @@ def _cmd_telemetry_export(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     # Strategy choices come from the registry, so a newly registered
     # strategy is immediately addressable from every command.
-    from .sim.registry import available_strategies
+    from .sim import STRATEGIES, available_strategies
 
     strategy_names = available_strategies()
     parser = argparse.ArgumentParser(
@@ -868,17 +829,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_lmp.add_argument("--step", type=_positive, default=25.0)
     p_lmp.set_defaults(func=_cmd_lmp_sweep)
 
+    # Every shared flag is declared once, on one of these parents.
+    # argparse hands a parent's Action objects to each child, so a
+    # child must never set_defaults() a shared flag: the new default
+    # would leak into every other command. serve's 24 h --hours is its
+    # own flag for that reason, and resume's too.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--policy", type=int, default=1, choices=(0, 1, 2, 3))
-    common.add_argument("--hours", type=int, default=168)
-    common.add_argument("--seed", type=int, default=7)
-    common.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="record telemetry (spans + solver metrics) and write a "
-        "JSONL trace to PATH; inspect with 'repro telemetry summary PATH'",
-    )
+    common.add_argument("--seed", type=int, default=7, help="world RNG seed")
     common.add_argument(
         "--solver-backend",
         metavar="NAME",
@@ -886,6 +844,43 @@ def build_parser() -> argparse.ArgumentParser:
         help="registered solver backend for the dispatch optimizers "
         "(see 'repro solvers'); 'decomposition' enables the "
         "region-decomposed large-fleet path explicitly",
+    )
+
+    month = argparse.ArgumentParser(add_help=False)
+    month.add_argument("--hours", type=_count, default=168)
+
+    trace = argparse.ArgumentParser(add_help=False)
+    trace.add_argument(
+        "--trace",
+        metavar="PATH",
+        default=None,
+        help="record telemetry (spans + solver metrics) and write a "
+        "JSONL trace to PATH; inspect with 'repro telemetry summary PATH'",
+    )
+
+    strategy = argparse.ArgumentParser(add_help=False)
+    strategy.add_argument(
+        "--strategy",
+        default="capping",
+        choices=strategy_names,
+        help="registered dispatch strategy (default: capping)",
+    )
+
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument(
+        "--budget-fraction",
+        type=_positive,
+        default=None,
+        help="monthly budget as a fraction of the uncapped spend, sized "
+        "by one uncapped anchor run (budget-aware strategies only; omit "
+        "for pure cost minimization)",
+    )
+    budget.add_argument(
+        "--degradation",
+        default="proportional",
+        choices=("hold-last", "proportional", "premium-shed"),
+        help="dispatch policy for hours whose solver stack fails "
+        "(injected with --faults, or genuine)",
     )
 
     tariff = argparse.ArgumentParser(add_help=False)
@@ -927,20 +922,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_sim = sub.add_parser(
-        "simulate", aliases=["run"], parents=[common, endo, tariff],
+        "simulate", aliases=["run"],
+        parents=[common, month, trace, strategy, budget, endo, tariff],
         help="run one registered strategy",
-    )
-    p_sim.add_argument(
-        "--strategy",
-        default="capping",
-        choices=strategy_names,
-    )
-    p_sim.add_argument(
-        "--budget-fraction",
-        type=_positive,
-        default=None,
-        help="monthly budget as a fraction of the uncapped spend "
-        "(budget-aware strategies only; omit for pure cost minimization)",
     )
     p_sim.add_argument(
         "--faults",
@@ -952,13 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
         "solver_timeout, budget_loss; applies to every strategy)",
     )
     p_sim.add_argument(
-        "--degradation",
-        default="proportional",
-        choices=("hold-last", "proportional", "premium-shed"),
-        help="dispatch policy for hours whose solver stack fails "
-        "(used with --faults; also applies to genuine solver failures)",
-    )
-    p_sim.add_argument(
         "--checkpoint",
         metavar="PATH",
         default=None,
@@ -968,46 +945,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_res = sub.add_parser(
-        "resume", help="continue a checkpointed simulate run"
+        "resume", parents=[trace], help="continue a checkpointed simulate run"
     )
     p_res.add_argument(
         "checkpoint", help="checkpoint file from 'simulate --checkpoint'"
     )
     p_res.add_argument(
         "--hours",
-        type=int,
+        type=_count,
         default=None,
         help="override the stored horizon (extend or shorten the run)",
     )
-    p_res.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="record telemetry for the resumed hours and write a JSONL "
-        "trace to PATH",
-    )
     p_res.set_defaults(func=_cmd_resume)
 
-    # serve has its own argument set (not the `common` parent: its
-    # --trace telemetry flag would collide with serve's streaming
-    # telemetry, and half the shared knobs live in the checkpoint).
     p_srv = sub.add_parser(
-        "serve", parents=[endo, tariff],
+        "serve", parents=[common, strategy, budget, endo, tariff],
         help="run the streaming control plane (sub-hourly "
         "re-dispatch, HTTP API, checkpointed)"
     )
-    p_srv.add_argument("--policy", type=int, default=1, choices=(0, 1, 2, 3))
-    p_srv.add_argument("--seed", type=int, default=7, help="world RNG seed")
     p_srv.add_argument("--hours", type=int, default=24)
-    p_srv.add_argument(
-        "--strategy", default="capping",
-        help="registered dispatch strategy (default: capping)",
-    )
-    p_srv.add_argument(
-        "--budget-fraction", type=_positive, default=None,
-        help="monthly budget as a fraction of uncapped spend "
-        "(runs the anchor simulation once)",
-    )
     p_srv.add_argument(
         "--monthly-budget", type=_non_negative, default=None,
         help="monthly budget in dollars (skips the anchor run)",
@@ -1052,11 +1008,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument(
         "--max-staleness", type=_positive, default=900.0,
         help="refresh any dispatch older than this many seconds",
-    )
-    p_srv.add_argument(
-        "--degradation", default="proportional",
-        choices=("proportional", "hold-last", "premium-shed"),
-        help="solver-failure fallback policy",
     )
     p_srv.add_argument("--host", default="127.0.0.1")
     p_srv.add_argument(
@@ -1103,13 +1054,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="resolver TTL for the realized-routing model behind /routing "
         "(single-process serve)",
     )
-    p_srv.add_argument(
-        "--solver-backend",
-        metavar="NAME",
-        default=None,
-        help="registered solver backend for the dispatch optimizers "
-        "(see 'repro solvers')",
-    )
     p_srv.set_defaults(func=_cmd_serve)
 
     p_sol = sub.add_parser(
@@ -1123,14 +1067,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_trf.set_defaults(func=_cmd_tariffs)
 
     p_cmp = sub.add_parser(
-        "compare", parents=[common, tariff], help="capping vs all baselines"
+        "compare", parents=[common, month, trace, tariff],
+        help="capping vs all baselines",
     )
     p_cmp.add_argument(
         "--strategies",
         metavar="NAMES",
+        type=_list_of(_registered(strategy_names)),
         default=None,
         help="comma-separated registered strategies to compare "
-        f"(default: {','.join(('capping', 'min-only-avg', 'min-only-low', 'min-only-current'))}; "
+        f"(default: {','.join(STRATEGIES)}; "
         f"registered: {', '.join(strategy_names)})",
     )
     p_cmp.add_argument(
@@ -1144,23 +1090,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser(
         "sweep",
-        parents=[common, tariff],
+        parents=[common, month, trace, strategy, tariff],
         help="grid sweep of one strategy over seeds x budget fractions "
         "(x demand-charge tariffs)",
     )
     p_sweep.add_argument(
-        "--strategy",
-        default="capping",
-        choices=strategy_names,
-    )
-    p_sweep.add_argument(
         "--seeds",
-        type=int,
+        type=_count,
         default=3,
         help="number of consecutive seeds starting at --seed",
     )
     p_sweep.add_argument(
         "--budget-fractions",
+        type=_list_of(_positive, none=("none", "uncapped")),
         default="none,0.95,0.85",
         help="comma-separated monthly budgets as fractions of the "
         "uncapped spend; 'none' runs uncapped (capping only)",
@@ -1168,6 +1110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--demand-rates",
         metavar="RATES",
+        type=_list_of(_non_negative, none=("none", "energy")),
         default=None,
         help="comma-separated demand-charge rates ($/kW of billing-cycle "
         "peak) appended to the base --tariff as a tariff axis; 'none' "
@@ -1176,13 +1119,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--cycle-hours",
         metavar="HOURS",
+        type=_list_of(_count),
         default=None,
         help="comma-separated billing-cycle lengths (hours) for the "
         "demand-charge axis (default: the component's 720 h month)",
     )
     p_sweep.add_argument(
         "--workers",
-        type=int,
+        type=_count,
         default=1,
         help="evaluate scenarios in a process pool of this size; "
         "telemetry counters are merged back into --trace either way",
@@ -1197,9 +1141,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_head.set_defaults(func=_cmd_headroom)
 
     p_study = sub.add_parser(
-        "study", parents=[common], help="multi-seed robustness of the savings"
+        "study", parents=[common, month, trace],
+        help="multi-seed robustness of the savings",
     )
-    p_study.add_argument("--seeds", type=int, default=3)
+    p_study.add_argument("--seeds", type=_count, default=3)
     p_study.set_defaults(func=_cmd_study)
 
     p_tel = sub.add_parser(
@@ -1226,7 +1171,8 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = _preflight(args)
+        return code if code is not None else args.func(args)
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; exit quietly like a
         # well-behaved unix filter. devnull keeps the interpreter from

@@ -19,8 +19,11 @@ Typical chaos run::
     from repro.resilience import DegradationPolicy, FaultInjector, FaultSpec
 
     faults = FaultInjector(FaultSpec(price_stale=0.1, solver_error=0.05, seed=3))
-    result = simulator.run_capping(
-        budgeter, faults=faults, degradation=DegradationPolicy.PROPORTIONAL
+    result = engine.run(
+        "capping",
+        budgeter=budgeter,
+        faults=faults,
+        degradation=DegradationPolicy.PROPORTIONAL,
     )
     assert all(len(h.sites) > 0 for h in result.hours)  # every hour dispatched
 """

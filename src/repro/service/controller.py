@@ -537,34 +537,6 @@ class ControlLoop:
     def settled_hours(self) -> int:
         return len(self.hour_summaries)
 
-    def summary(self) -> dict:
-        """Headline totals over the settled hours (service run report)."""
-        total = lambda key: sum(s[key] for s in self.hour_summaries)  # noqa: E731
-        demand_p = total("demand_premium_rps")
-        demand_o = total("demand_ordinary_rps")
-        return {
-            "strategy": self.name,
-            "hours": self.settled_hours,
-            "decisions": self.decisions,
-            "total_cost": sum(
-                s.get("spend", s["realized_cost"])
-                for s in self.hour_summaries
-            ),
-            "hours_over_budget": sum(
-                # Full settled bill when the summary carries one;
-                # restored pre-ledger summaries fall back to the energy
-                # cost (their bill *was* the energy cost).
-                s.get("spend", s["realized_cost"]) > s["budget"] * (1 + 1e-9)
-                for s in self.hour_summaries
-            ),
-            "premium_throughput": (
-                total("served_premium_rps") / demand_p if demand_p > 0 else 1.0
-            ),
-            "ordinary_throughput": (
-                total("served_ordinary_rps") / demand_o if demand_o > 0 else 1.0
-            ),
-        }
-
     # -- checkpoint state ----------------------------------------------------
     # Valid only at a settled hour boundary (right after an hour
     # settles), where the in-progress-hour accruals are empty by

@@ -1403,20 +1403,28 @@ class ShardedControlPlane:
         hours = self.coordinator.hour_summaries
         demand_p = sum(s["demand_premium_rps"] for s in hours)
         demand_o = sum(s["demand_ordinary_rps"] for s in hours)
+        # Full settled bills where present; restored pre-ledger
+        # summaries fall back to the energy cost (their bill). An hour
+        # is over budget when its region bills together exceed its
+        # region allotments together, so the count never exceeds the
+        # settled hours however many regions split the fleet.
+        spend: dict[int, float] = {}
+        budget: dict[int, float] = {}
+        for s in hours:
+            h = s["hour"]
+            spend[h] = spend.get(h, 0.0) + s.get("spend", s["realized_cost"])
+            budget[h] = budget.get(h, 0.0) + s["budget"]
         return {
             "strategy": self.spec["strategy"],
             "workers": self.n_workers,
             "regions": len(self.regions),
             "hours": self.coordinator.settled_hours,
             "decisions": self.decisions_published,
-            # Full settled bills where present; restored pre-ledger
-            # summaries fall back to the energy cost (their bill).
             "total_cost": sum(
                 s.get("spend", s["realized_cost"]) for s in hours
             ),
             "hours_over_budget": sum(
-                s.get("spend", s["realized_cost"]) > s["budget"] * (1 + 1e-9)
-                for s in hours
+                spend[h] > budget[h] * (1 + 1e-9) for h in spend
             ),
             "premium_throughput": (
                 sum(s["served_premium_rps"] for s in hours) / demand_p

@@ -3,8 +3,8 @@
 The hourly control loop lives in :class:`~repro.sim.engine.Engine`;
 strategies resolve by name through :mod:`repro.sim.registry`
 (:func:`register_strategy` / :func:`get_strategy` /
-:func:`available_strategies`). :class:`Simulator` remains the
-compatibility facade over the engine.
+:func:`available_strategies`), and ``Engine.run`` takes either a
+name or a strategy instance.
 """
 
 from .analysis import (
@@ -27,11 +27,9 @@ from .parallel import (
 from .records import HourRecord, SimulationResult, SiteRecord
 from .endogenous import EndogenousPriceMiddleware, EndogenousPrices
 from .registry import available_strategies, get_strategy, register_strategy
-from .simulator import Simulator
 from .sweep import closedloop_metric, derive_seed, run_sweep, sweep_grid
 
 __all__ = [
-    "Simulator",
     "Engine",
     "DispatchStrategy",
     "HourContext",

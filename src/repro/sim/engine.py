@@ -136,9 +136,8 @@ class HourContext:
         """The engine-level degradation policy for this hour.
 
         The explicit request wins; otherwise fault-injected runs default
-        to :attr:`~repro.resilience.DegradationPolicy.PROPORTIONAL`
-        (matching the legacy ``Simulator.run_capping`` behaviour), and
-        clean runs keep the raise-on-failure contract.
+        to :attr:`~repro.resilience.DegradationPolicy.PROPORTIONAL`,
+        and clean runs keep the raise-on-failure contract.
         """
         if self.degradation is not None:
             return self.degradation
@@ -322,11 +321,13 @@ class FaultMiddleware(StageMiddleware):
 class Engine:
     """Drives any registered dispatch strategy over a workload month.
 
-    Parameters mirror :class:`~repro.sim.simulator.Simulator` (which is
-    now a thin compatibility wrapper around this class): the site
-    network, the offered-load trace, the customer mix, an optional
-    :class:`~repro.telemetry.Telemetry` bundle, and the ``batched``
-    toggle for the vectorized realize path.
+    Parameters: the site network (markets bound), the offered-load
+    trace (premium + ordinary per hour), the customer mix, an optional
+    :class:`~repro.telemetry.Telemetry` bundle installed for the
+    duration of every run, and the ``batched`` toggle for the
+    vectorized realize path (:class:`~repro.datacenter.SiteBank` +
+    :class:`~repro.powermarket.CurveBank`, bit-identical to the scalar
+    per-site path; heterogeneous sites fall back to scalar).
     """
 
     def __init__(

@@ -3,7 +3,7 @@
 Every policy the repo can simulate — Cost Capping, the three Min-Only
 price-taker modes, the hierarchical capper, and anything a user
 registers — is a named factory here. All entry points (``repro
-compare``/``repro run``, :class:`~repro.sim.simulator.Simulator`,
+compare``/``repro run``, :meth:`repro.sim.engine.Engine.run`,
 :mod:`repro.sim.parallel`, :mod:`repro.sim.sweep`,
 :mod:`repro.sim.montecarlo`) resolve strategies through this module, so
 adding a policy is one :func:`register_strategy` call instead of five

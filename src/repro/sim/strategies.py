@@ -112,8 +112,7 @@ class MinOnlyStrategy:
     The dispatcher is built in :meth:`prepare` from the world's sites
     (server-only affine slopes) unless one is supplied. Min-Only is
     class-blind; the decision is re-wrapped with the true customer mix
-    so throughput comparisons stay apples to apples, exactly as the
-    legacy ``Simulator.run_min_only`` did.
+    so throughput comparisons stay apples to apples.
     """
 
     mode: PriceMode

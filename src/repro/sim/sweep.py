@@ -44,7 +44,6 @@ __all__ = [
     "derive_seed",
     "run_sweep",
     "strategy_metric",
-    "capped_month_metric",
     "closedloop_metric",
 ]
 
@@ -179,30 +178,6 @@ def strategy_metric(scenario: Mapping[str, Any], payload: Any = None):
     from .parallel import run_one_strategy
 
     return run_one_strategy(**scenario)
-
-
-def capped_month_metric(scenario: Mapping[str, Any], payload: Any = None):
-    """Run a Cost Capping month at an explicit monthly budget.
-
-    Scenario keys: ``monthly_budget`` (``None`` for uncapped) plus
-    optional ``policy_id``, ``seed``, ``hours``. Rebuilds the
-    (deterministic, seed-keyed) world locally so the task payload is a
-    handful of scalars, and runs the registry's ``capping`` strategy
-    through the engine. Returns the run's ``SimulationResult``.
-    """
-    from ..experiments import paper_world
-    from .engine import Engine
-
-    world = paper_world(
-        scenario.get("policy_id", 1), seed=scenario.get("seed", 7)
-    )
-    engine = Engine(world.sites, world.workload, world.mix)
-    budgeter = None
-    if scenario.get("monthly_budget") is not None:
-        budgeter = world.budgeter(scenario["monthly_budget"])
-    return engine.run(
-        "capping", budgeter=budgeter, hours=scenario.get("hours", 168)
-    )
 
 
 def closedloop_metric(scenario: Mapping[str, Any], payload: Any = None):

@@ -20,7 +20,7 @@ Typical use::
 
     tel = Telemetry()
     with use_telemetry(tel):
-        result = simulator.run_capping(budgeter)
+        result = engine.run("capping", budgeter=budgeter)
     write_jsonl(tel, "trace.jsonl")
     print(format_summary(snapshot(tel)))
 

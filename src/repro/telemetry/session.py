@@ -10,7 +10,7 @@ Enable collection for a region of code with :func:`use_telemetry`::
 
     tel = Telemetry()
     with use_telemetry(tel):
-        simulator.run_capping(budgeter)
+        engine.run("capping", budgeter=budgeter)
     write_jsonl(tel, "trace.jsonl")
 
 The active bundle is process-global (not thread/task-local) on purpose:

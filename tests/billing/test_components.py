@@ -53,6 +53,11 @@ class TestDemandCharge:
     def test_validation(self):
         with pytest.raises(ValueError):
             DemandCharge(rate_per_kw=-1.0)
+        # NaN passes a bare sign check; it used to settle a $nan bill,
+        # and inf an infeasible peak row.
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                DemandCharge(rate_per_kw=rate)
         with pytest.raises(ValueError):
             DemandCharge(cycle_hours=0)
 

@@ -68,6 +68,9 @@ def test_make_ledger_spec_errors():
         make_ledger("energy:rate=6")
     with pytest.raises(ValueError, match="unknown tariff"):
         make_ledger("energy+carbon")
+    for rate in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match="demand rate must be finite"):
+            make_ledger(f"energy+demand:rate={rate}")
 
 
 def test_register_tariff_validation_and_replace():

@@ -139,16 +139,16 @@ class TestProtocolCompatibility:
 
     def test_works_in_simulator(self):
         from repro.experiments import paper_world
-        from repro.sim import Simulator
+        from repro.sim import Engine
 
         w = paper_world(max_servers=500_000)
-        sim = Simulator(w.sites, w.workload, w.mix)
-        anchor = sim.run_capping(hours=24)
+        engine = Engine(w.sites, w.workload, w.mix)
+        anchor = engine.run("capping", hours=24)
         budget = anchor.total_cost * w.hours / 24 * 0.8
         adaptive = AdaptiveBudgeter(
             budget, w.predictor(), month_hours=w.hours,
             start_weekday=w.workload.start_weekday,
         )
-        res = sim.run_capping(adaptive, hours=24)
+        res = engine.run("capping", budgeter=adaptive, hours=24)
         assert res.premium_throughput_fraction == pytest.approx(1.0)
         assert res.total_cost > 0

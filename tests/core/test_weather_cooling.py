@@ -86,13 +86,13 @@ class TestWeatherSite:
         assert d.rate_for("A") > d.rate_for("B")
 
     def test_simulator_with_weather(self):
-        from repro.sim import Simulator
+        from repro.sim import Engine
         from repro.workload import CustomerMix, Trace
 
         site = make_weather_site(hours=24)
         wl = Trace(np.full(24, 2e6))
-        sim = Simulator([site], wl, CustomerMix())
-        res = sim.run_capping(hours=24)
+        engine = Engine([site], wl, CustomerMix())
+        res = engine.run("capping", hours=24)
         assert res.total_cost > 0
         # Hourly cost varies with the weather even under flat load/price.
         costs = res.hourly_costs

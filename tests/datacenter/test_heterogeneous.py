@@ -165,13 +165,13 @@ class TestIntegration:
     def test_simulator_accepts_heterogeneous_sites(self):
         from repro.core import Site
         from repro.powermarket import SteppedPricingPolicy
-        from repro.sim import Simulator
+        from repro.sim import Engine
         from repro.workload import CustomerMix, Trace
 
         policy = SteppedPricingPolicy("H", (0.5, 1.0), (10.0, 20.0, 40.0))
         site = Site(make_hdc(), policy, np.full(24, 0.2))
         wl = Trace(np.full(24, 3e5))
-        sim = Simulator([site], wl, CustomerMix())
-        res = sim.run_capping(hours=6)
+        engine = Engine([site], wl, CustomerMix())
+        res = engine.run("capping", hours=6)
         assert res.total_cost > 0
         assert res.premium_throughput_fraction == pytest.approx(1.0)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.experiments import paper_world
 from repro.resilience import DegradationPolicy, FaultInjector, FaultSpec
-from repro.sim import Simulator
+from repro.sim import Engine
 from repro.telemetry import Telemetry, snapshot, summarize, use_telemetry
 
 
@@ -35,23 +35,26 @@ def world():
 
 
 @pytest.fixture(scope="module")
-def sim(world):
-    return Simulator(world.sites, world.workload, world.mix)
+def engine(world):
+    return Engine(world.sites, world.workload, world.mix)
 
 
-def _monthly(world, sim):
-    anchor = sim.run_capping(hours=HOURS)
+def _monthly(world, engine):
+    anchor = engine.run("capping", hours=HOURS)
     return anchor.total_cost * world.workload.hours / HOURS * 0.85
 
 
 class TestChaosRun:
     @pytest.fixture(scope="class")
-    def chaos(self, world, sim):
+    def chaos(self, world, engine):
         tel = Telemetry()
-        budgeter = world.budgeter(_monthly(world, sim))
+        budgeter = world.budgeter(_monthly(world, engine))
         with use_telemetry(tel):
-            result = sim.run_capping(
-                budgeter, hours=HOURS, faults=FaultInjector(CHAOS)
+            result = engine.run(
+                "capping",
+                budgeter=budgeter,
+                hours=HOURS,
+                faults=FaultInjector(CHAOS),
             )
         return result, tel
 
@@ -89,10 +92,11 @@ class TestChaosRun:
         for kind, count in FaultInjector(CHAOS).schedule_counts(HOURS).items():
             assert values.get(f"resilience.injected.{kind}", 0) == count
 
-    def test_seeded_chaos_is_reproducible(self, world, sim, chaos):
+    def test_seeded_chaos_is_reproducible(self, world, engine, chaos):
         result, _ = chaos
-        again = sim.run_capping(
-            world.budgeter(_monthly(world, sim)),
+        again = engine.run(
+            "capping",
+            budgeter=world.budgeter(_monthly(world, engine)),
             hours=HOURS,
             faults=FaultInjector(CHAOS),
         )
@@ -101,11 +105,14 @@ class TestChaosRun:
 
 
 class TestFaultFreePathUnchanged:
-    def test_zero_probability_injector_is_bit_identical(self, world, sim):
-        monthly = _monthly(world, sim)
-        plain = sim.run_capping(world.budgeter(monthly), hours=HOURS)
-        wired = sim.run_capping(
-            world.budgeter(monthly),
+    def test_zero_probability_injector_is_bit_identical(self, world, engine):
+        monthly = _monthly(world, engine)
+        plain = engine.run(
+            "capping", budgeter=world.budgeter(monthly), hours=HOURS
+        )
+        wired = engine.run(
+            "capping",
+            budgeter=world.budgeter(monthly),
             hours=HOURS,
             faults=FaultInjector(FaultSpec(seed=99)),
         )
@@ -117,17 +124,18 @@ class TestFaultFreePathUnchanged:
             ]
         assert wired.degraded_hours == 0
 
-    def test_faults_none_is_bit_identical(self, sim):
-        a = sim.run_capping(hours=12)
-        b = sim.run_capping(hours=12, faults=None)
+    def test_faults_none_is_bit_identical(self, engine):
+        a = engine.run("capping", hours=12)
+        b = engine.run("capping", hours=12, faults=None)
         assert list(a.hourly_costs) == list(b.hourly_costs)
 
 
 class TestPolicySelection:
-    def test_explicit_policy_reaches_capper(self, world, sim):
-        budgeter = world.budgeter(_monthly(world, sim))
-        result = sim.run_capping(
-            budgeter,
+    def test_explicit_policy_reaches_capper(self, world, engine):
+        budgeter = world.budgeter(_monthly(world, engine))
+        result = engine.run(
+            "capping",
+            budgeter=budgeter,
             hours=12,
             faults=FaultInjector(FaultSpec(solver_error=1.0)),
             degradation=DegradationPolicy.PREMIUM_SHED,
@@ -138,12 +146,13 @@ class TestPolicySelection:
             # premium-shed admits no ordinary traffic on degraded hours
             assert h.served_ordinary_rps == 0.0
 
-    def test_budget_loss_restores_from_checkpoint(self, world, sim):
-        budgeter = world.budgeter(_monthly(world, sim))
+    def test_budget_loss_restores_from_checkpoint(self, world, engine):
+        budgeter = world.budgeter(_monthly(world, engine))
         tel = Telemetry()
         with use_telemetry(tel):
-            result = sim.run_capping(
-                budgeter,
+            result = engine.run(
+                "capping",
+                budgeter=budgeter,
                 hours=12,
                 faults=FaultInjector(FaultSpec(budget_loss=1.0)),
             )

@@ -1,6 +1,6 @@
 """Fault injection beyond Cost Capping: every strategy degrades gracefully.
 
-Fault tolerance used to be a `run_capping` special case; the engine's
+Fault tolerance used to be a Cost Capping special case; the engine's
 middleware makes it a property of the pipeline. These tests pin the two
 halves of that contract for the other registered strategies:
 
@@ -41,7 +41,7 @@ def engine(world):
 class TestFaultedPriceTakers:
     def test_faulted_min_only_month_completes_degraded(self, engine):
         """The headline regression: a faulted Min-Only month used to be
-        impossible (faults were a run_capping-only feature). Now the
+        impossible (faults were a capping-only feature). Now the
         engine catches the injected solver failures and dispatches those
         hours through the degradation path."""
         tel = Telemetry()

@@ -3,7 +3,14 @@
 import pytest
 
 from repro.experiments import paper_world
-from repro.service import ControlLoop, Tick, TriggerPolicy, run_serial, replay_ticks
+from repro.service import (
+    ControlLoop,
+    ShardedControlPlane,
+    Tick,
+    TriggerPolicy,
+    replay_ticks,
+    run_serial,
+)
 from repro.sim.engine import Engine
 
 HOUR = 3600.0
@@ -112,12 +119,27 @@ class TestSettlement:
         assert all(s["realized_cost"] > 0 for s in loop.hour_summaries)
         assert events[0].reason == "hour-start"
 
-    def test_summary_totals_match_settled_hours(self, world, engine):
-        loop = _loop(world, engine, hours=2)
-        run_serial(loop, replay_ticks(world.workload, ticks_per_hour=4, hours=2))
-        loop.finish()
-        s = loop.summary()
-        total = sum(h["realized_cost"] for h in loop.hour_summaries)
+    def test_summary_totals_match_settled_hours(self, tmp_path):
+        # The run report is the control plane's; in-process it drives
+        # one ControlLoop over every site.
+        plane = ShardedControlPlane(
+            {
+                "world": {"kind": "paper", "policy": 1, "seed": 7},
+                "source": {"kind": "replay", "ticks_per_hour": 4,
+                           "hours": 2, "seed": 0, "jitter": 0.02},
+                "strategy": "capping",
+                "trigger": {},
+                "degradation": None,
+                "horizon": 2,
+                "monthly_budget": 2_000_000.0,
+            },
+            decision_log=tmp_path / "decisions.jsonl",
+            http=False,
+            handle_signals=False,
+        )
+        s = plane.run()
+        hours = plane.coordinator.hour_summaries
+        total = sum(h["realized_cost"] for h in hours)
         assert s["total_cost"] == pytest.approx(total)
         assert s["hours"] == 2
 

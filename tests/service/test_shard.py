@@ -187,6 +187,31 @@ class TestMultiprocessDeterminism:
         assert merged["service.hours_settled"] == 3 * len(svc.regions)
 
 
+class TestSummary:
+    def test_hours_over_budget_counts_fleet_hours(self, tmp_path):
+        """An hour is over budget when its region bills together exceed
+        its region allotments together, so the count never exceeds the
+        hours settled however many regions split the fleet. (This demand
+        tariff puts all 9 region-hours over their allotments.)"""
+        spec = dict(_spec(), tariff="energy+demand:rate=2,cycle=6")
+        plane = ShardedControlPlane(
+            spec, workers=2, decision_log=tmp_path / "dec.jsonl",
+            http=False, handle_signals=False,
+        )
+        summary = plane.run()
+        assert summary["worker_errors"] == {}
+        assert len(plane.regions) == 3
+        by_hour = {}
+        for s in plane.coordinator.hour_summaries:
+            spend, budget = by_hour.get(s["hour"], (0.0, 0.0))
+            by_hour[s["hour"]] = (spend + s["spend"], budget + s["budget"])
+        over = sum(
+            spend > budget * (1 + 1e-9) for spend, budget in by_hour.values()
+        )
+        assert summary["hours_over_budget"] == over
+        assert summary["hours_over_budget"] <= summary["hours"] == 3
+
+
 class TestStopResume:
     def test_stop_then_resume_with_different_workers(
         self, reference, tmp_path

@@ -81,7 +81,7 @@ class TestPriceLevelOccupancy:
         from repro.core import Site
         from repro.datacenter import CoolingModel, DataCenter, ServerSpec, SwitchPowers
         from repro.powermarket import SteppedPricingPolicy
-        from repro.sim import Simulator
+        from repro.sim import Engine
         from repro.workload import CustomerMix, Trace
 
         dc = DataCenter(
@@ -95,8 +95,8 @@ class TestPriceLevelOccupancy:
         policy = SteppedPricingPolicy("DC1", (3.0, 6.0), (10.0, 20.0, 30.0))
         site = Site(dc, policy, np.full(8, 1.0))
         wl = Trace(np.full(8, 5e6))
-        sim = Simulator([site], wl, CustomerMix())
-        res = sim.run_capping(hours=8)
+        engine = Engine([site], wl, CustomerMix())
+        res = engine.run("capping", hours=8)
         occ = price_level_occupancy(res, [site])
         assert occ["DC1"].sum() == 8
         assert occ["DC1"].shape == (3,)

@@ -1,4 +1,4 @@
-"""``Simulator(batched=True)`` must be bit-identical to the scalar path.
+"""``Engine(batched=True)`` must be bit-identical to the scalar path.
 
 The batched realize loop swaps the per-site ``LocalOptimizer`` /
 ``policy.price`` calls for :class:`SiteBank` / :class:`CurveBank`
@@ -15,26 +15,29 @@ import dataclasses
 from repro.core import PriceMode
 from repro.datacenter import synthetic_coe_trace
 from repro.experiments.paper_setup import paper_world
-from repro.sim import Simulator
+from repro.sim import Engine
+from repro.sim.strategies import MinOnlyStrategy
 
 
 def run_pair(world, hours, strategy="capping", budget_fraction=None):
     results = []
     for batched in (True, False):
-        sim = Simulator(world.sites, world.workload, world.mix, batched=batched)
+        engine = Engine(world.sites, world.workload, world.mix, batched=batched)
         if strategy == "capping":
             budgeter = None
             if budget_fraction is not None:
-                anchor = Simulator(
+                anchor = Engine(
                     world.sites, world.workload, world.mix
-                ).run_capping(hours=hours)
+                ).run("capping", hours=hours)
                 monthly = (
                     anchor.total_cost * world.hours / hours * budget_fraction
                 )
                 budgeter = world.budgeter(monthly)
-            results.append(sim.run_capping(budgeter, hours=hours))
+            results.append(
+                engine.run("capping", budgeter=budgeter, hours=hours)
+            )
         else:
-            results.append(sim.run_min_only(strategy, hours=hours))
+            results.append(engine.run(MinOnlyStrategy(strategy), hours=hours))
     return results
 
 
@@ -104,21 +107,21 @@ class TestBitIdentity:
         ]
         results = []
         for batched in (True, False):
-            sim = Simulator(sites, world.workload, world.mix, batched=batched)
-            results.append(sim.run_capping(hours=36))
+            engine = Engine(sites, world.workload, world.mix, batched=batched)
+            results.append(engine.run("capping", hours=36))
         assert_identical(*results)
 
 
 class TestFallbackWiring:
     def test_heterogeneous_fleet_disables_the_bank(self):
         world = paper_world(heterogeneous=True)
-        sim = Simulator(world.sites, world.workload, world.mix)
-        assert sim._bank is None and sim._curves is None
+        engine = Engine(world.sites, world.workload, world.mix)
+        assert engine._bank is None and engine._curves is None
         # And the run still works on the scalar path.
-        res = sim.run_capping(hours=6)
+        res = engine.run("capping", hours=6)
         assert res.total_cost > 0
 
     def test_batched_false_never_builds_banks(self):
         world = paper_world()
-        sim = Simulator(world.sites, world.workload, world.mix, batched=False)
-        assert sim._bank is None and sim._curves is None
+        engine = Engine(world.sites, world.workload, world.mix, batched=False)
+        assert engine._bank is None and engine._curves is None

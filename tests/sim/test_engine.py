@@ -1,10 +1,10 @@
 """Tests for the strategy engine and registry (`repro.sim.engine`).
 
 The engine is *the* hourly control loop now: every entry point routes
-through it, so these tests pin (a) the registry contract, (b) that the
-legacy `Simulator.run_*` wrappers are bit-identical to direct engine
-runs, and (c) that user-registered strategies are first-class citizens
-of the pipeline.
+through it, so these tests pin (a) the registry contract, (b) that a
+strategy instance and its registry name run bit-identically under the
+same result name, and (c) that user-registered strategies are
+first-class citizens of the pipeline.
 """
 
 import pytest
@@ -13,7 +13,6 @@ from repro.core import BillCapper, CappingStep, HourlyDecision, PriceMode
 from repro.experiments import paper_world
 from repro.sim import (
     Engine,
-    Simulator,
     available_strategies,
     compare_strategies,
     get_strategy,
@@ -90,32 +89,23 @@ class TestRegistry:
 
 
 class TestWrapperEquivalence:
-    """Simulator.run_* are thin wrappers: results match engine runs exactly."""
+    """Strategy instances and registry names are interchangeable."""
 
-    def test_run_capping_uncapped(self, world, engine):
-        sim = Simulator(world.sites, world.workload, world.mix)
-        assert records_equal(
-            sim.run_capping(hours=HOURS), engine.run("capping", hours=HOURS)
-        )
-
-    def test_run_capping_budgeted(self, world, engine):
+    def test_result_names(self, world, engine):
         anchor = engine.run("capping", hours=HOURS)
+        assert anchor.name == "cost-capping"
         monthly = anchor.total_cost * world.hours / HOURS * 0.7
-        sim = Simulator(world.sites, world.workload, world.mix)
-        via_sim = sim.run_capping(world.budgeter(monthly), hours=HOURS)
-        direct = engine.run(
-            "capping", budgeter=world.budgeter(monthly), hours=HOURS
+        budgeted = engine.run(
+            CappingStrategy(capper=BillCapper()),
+            budgeter=world.budgeter(monthly),
+            hours=HOURS,
         )
-        assert records_equal(via_sim, direct)
-        assert via_sim.name == direct.name == "cost-capping"
-
-    def test_run_min_only_all_modes(self, world, engine):
-        sim = Simulator(world.sites, world.workload, world.mix)
+        assert budgeted.name == "cost-capping"
         for mode in PriceMode:
-            via_sim = sim.run_min_only(mode, hours=HOURS)
-            direct = engine.run(f"min-only-{mode.value}", hours=HOURS)
-            assert records_equal(via_sim, direct)
-            assert via_sim.name == f"min-only-{mode.value}"
+            by_name = engine.run(f"min-only-{mode.value}", hours=HOURS)
+            by_instance = engine.run(MinOnlyStrategy(mode), hours=HOURS)
+            assert records_equal(by_name, by_instance)
+            assert by_name.name == by_instance.name == f"min-only-{mode.value}"
 
     def test_strategy_instance_and_name_agree(self, engine):
         by_name = engine.run("min-only-avg", hours=HOURS)

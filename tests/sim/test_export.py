@@ -40,13 +40,13 @@ class TestResultCsv:
 
     def test_real_simulation_exports(self, tmp_path):
         from repro.core import Site
-        from repro.sim import Simulator
+        from repro.sim import Engine
         from repro.workload import CustomerMix, Trace
         from tests.sim.test_simulator_properties import tiny_site
 
         site = tiny_site()
         wl = Trace(np.full(4, 2e6))
-        res = Simulator([site], wl, CustomerMix()).run_capping(hours=4)
+        res = Engine([site], wl, CustomerMix()).run("capping", hours=4)
         path = res.to_csv(tmp_path / "sim.csv")
         with path.open() as fh:
             rows = list(csv.DictReader(fh))

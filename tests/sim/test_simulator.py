@@ -8,9 +8,9 @@ the suite stays fast.
 import numpy as np
 import pytest
 
-from repro.core import CappingStep, PriceMode
+from repro.core import CappingStep
 from repro.experiments import paper_world
-from repro.sim import Simulator
+from repro.sim import Engine
 
 
 @pytest.fixture(scope="module")
@@ -20,13 +20,13 @@ def world():
 
 
 @pytest.fixture(scope="module")
-def sim(world):
-    return Simulator(world.sites, world.workload, world.mix)
+def engine(world):
+    return Engine(world.sites, world.workload, world.mix)
 
 
 @pytest.fixture(scope="module")
-def uncapped(sim):
-    return sim.run_capping(hours=48)
+def uncapped(engine):
+    return engine.run("capping", hours=48)
 
 
 class TestUncapped:
@@ -61,20 +61,20 @@ class TestUncapped:
 
 
 class TestBaselines:
-    def test_min_only_serves_everything(self, sim):
-        res = sim.run_min_only(PriceMode.AVG, hours=48)
+    def test_min_only_serves_everything(self, engine):
+        res = engine.run("min-only-avg", hours=48)
         assert res.premium_throughput_fraction == pytest.approx(1.0, abs=1e-6)
 
-    def test_capping_no_more_expensive(self, sim, uncapped):
-        res = sim.run_min_only(PriceMode.AVG, hours=48)
+    def test_capping_no_more_expensive(self, engine, uncapped):
+        res = engine.run("min-only-avg", hours=48)
         assert uncapped.total_cost <= res.total_cost * (1 + 1e-6)
 
 
 class TestCapped:
-    def test_tight_budget_caps_cost(self, world, sim, uncapped):
+    def test_tight_budget_caps_cost(self, world, engine, uncapped):
         month_scale = world.hours / 48
         budgeter = world.budgeter(uncapped.total_cost * month_scale * 0.6)
-        res = sim.run_capping(budgeter, hours=48)
+        res = engine.run("capping", budgeter=budgeter, hours=48)
         # Premium always fully served.
         assert res.premium_throughput_fraction == pytest.approx(1.0, abs=1e-6)
         # Ordinary throttled at least somewhere.
@@ -82,27 +82,27 @@ class TestCapped:
         # Cheaper than the uncapped run.
         assert res.total_cost < uncapped.total_cost
 
-    def test_budget_recorded(self, world, sim, uncapped):
+    def test_budget_recorded(self, world, engine, uncapped):
         budgeter = world.budgeter(uncapped.total_cost * 10)
-        res = sim.run_capping(budgeter, hours=24)
+        res = engine.run("capping", budgeter=budgeter, hours=24)
         assert np.all(np.isfinite(res.hourly_budgets))
 
-    def test_abundant_budget_equals_uncapped(self, world, sim, uncapped):
+    def test_abundant_budget_equals_uncapped(self, world, engine, uncapped):
         month_scale = world.hours / 48
         budgeter = world.budgeter(uncapped.total_cost * month_scale * 3.0)
-        res = sim.run_capping(budgeter, hours=48)
+        res = engine.run("capping", budgeter=budgeter, hours=48)
         assert res.total_cost == pytest.approx(uncapped.total_cost, rel=1e-6)
         assert res.ordinary_throughput_fraction == pytest.approx(1.0, abs=1e-6)
 
 
 class TestValidation:
-    def test_hours_bounds(self, sim):
+    def test_hours_bounds(self, engine):
         with pytest.raises(ValueError):
-            sim.run_capping(hours=0)
+            engine.run("capping", hours=0)
         with pytest.raises(ValueError):
-            sim.run_capping(hours=10**6)
+            engine.run("capping", hours=10**6)
 
-    def test_horizon_beyond_budgeting_period_rejected(self, world, sim):
+    def test_horizon_beyond_budgeting_period_rejected(self, world, engine):
         # Regression: this used to crash mid-month with an opaque
         # RuntimeError("budgeting period exhausted") after simulating
         # (and paying for) month_hours of dispatch.
@@ -110,27 +110,27 @@ class TestValidation:
 
         short = Budgeter(1e6, world.predictor(), month_hours=24)
         with pytest.raises(ValueError, match="exceeds the budgeter's remaining"):
-            sim.run_capping(short, hours=48)
+            engine.run("capping", budgeter=short, hours=48)
 
-    def test_partially_spent_budgeter_counts_remaining_hours(self, world, sim):
+    def test_partially_spent_budgeter_counts_remaining_hours(self, world, engine):
         budgeter = world.budgeter(1e6)
         for _ in range(budgeter.month_hours - 10):
             budgeter.hourly_budget()
             budgeter.record_spend(0.0)
         with pytest.raises(ValueError, match="remaining 10 budgeted hours"):
-            sim.run_capping(budgeter, hours=48)
+            engine.run("capping", budgeter=budgeter, hours=48)
 
     def test_workload_longer_than_background_rejected(self, world):
         from repro.core import Site
-        from repro.sim import Simulator
+        from repro.sim import Engine
         from repro.workload import Trace
 
         short_sites = [
             Site(s.datacenter, s.policy, s.background_mw[:10]) for s in world.sites
         ]
         with pytest.raises(ValueError, match="exceeds background"):
-            Simulator(short_sites, world.workload, world.mix)
+            Engine(short_sites, world.workload, world.mix)
 
     def test_empty_sites_rejected(self, world):
         with pytest.raises(ValueError):
-            Simulator([], world.workload, world.mix)
+            Engine([], world.workload, world.mix)

@@ -11,7 +11,7 @@ from repro.datacenter import (
     SwitchPowers,
 )
 from repro.powermarket import SteppedPricingPolicy, flat_policy
-from repro.sim import Simulator
+from repro.sim import Engine
 from repro.workload import CustomerMix, Trace
 
 
@@ -34,8 +34,8 @@ def tiny_site(name="DC", max_servers=20_000, power_cap=float("inf"), seed=0):
 def run_tiny(workload_rates, **site_kwargs):
     site = tiny_site(**site_kwargs)
     wl = Trace(np.asarray(workload_rates, dtype=float))
-    sim = Simulator([site], wl, CustomerMix())
-    return sim.run_capping(hours=len(workload_rates))
+    engine = Engine([site], wl, CustomerMix())
+    return engine.run("capping", hours=len(workload_rates))
 
 
 class TestInvariants:
@@ -69,7 +69,7 @@ class TestInvariants:
         site = tiny_site()
         site = Site(site.datacenter, flat_policy("DC", 12.0), site.background_mw)
         wl = Trace(np.array([2e6, 4e6]))
-        res = Simulator([site], wl, CustomerMix()).run_capping(hours=2)
+        res = Engine([site], wl, CustomerMix()).run("capping", hours=2)
         for h in res.hours:
             assert h.realized_cost == pytest.approx(12.0 * h.total_power_mw, rel=1e-9)
 
@@ -77,7 +77,7 @@ class TestInvariants:
         site_a = tiny_site("A", seed=1)
         site_b = tiny_site("B", seed=2)
         wl = Trace(np.full(3, 2e6))
-        res = Simulator([site_a, site_b], wl, CustomerMix()).run_capping(hours=3)
+        res = Engine([site_a, site_b], wl, CustomerMix()).run("capping", hours=3)
         for h in res.hours:
             assert {rec.site for rec in h.sites} == {"A", "B"}
             assert h.realized_cost == pytest.approx(
@@ -95,13 +95,14 @@ class TestInvariants:
 class TestBaselineInvariants:
     def test_min_only_capping_cost_ordering(self):
         from repro.core import PriceMode
+        from repro.sim.strategies import MinOnlyStrategy
 
         site = tiny_site(seed=3)
         wl = Trace(np.full(6, 5e6))
-        sim = Simulator([site], wl, CustomerMix())
-        capping = sim.run_capping(hours=6)
+        engine = Engine([site], wl, CustomerMix())
+        capping = engine.run("capping", hours=6)
         for mode in (PriceMode.AVG, PriceMode.LOW, PriceMode.CURRENT):
-            baseline = sim.run_min_only(mode, hours=6)
+            baseline = engine.run(MinOnlyStrategy(mode), hours=6)
             # With one site there is no routing freedom: realized bills
             # coincide — the guarantee is capping is never *worse*.
             assert capping.total_cost <= baseline.total_cost * (1 + 1e-9)

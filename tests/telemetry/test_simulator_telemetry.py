@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import CappingStep
 from repro.experiments import paper_world
-from repro.sim import Simulator
+from repro.sim import Engine
 from repro.telemetry import Telemetry, get_telemetry, snapshot, summarize
 
 HOURS = 3
@@ -19,9 +19,9 @@ def world():
 def traced(world):
     """One capped run with telemetry attached; shared by the assertions."""
     tel = Telemetry()
-    sim = Simulator(world.sites, world.workload, world.mix, telemetry=tel)
+    engine = Engine(world.sites, world.workload, world.mix, telemetry=tel)
     budgeter = world.budgeter(monthly_budget=5e5)
-    result = sim.run_capping(budgeter, hours=HOURS)
+    result = engine.run("capping", budgeter=budgeter, hours=HOURS)
     return tel, result
 
 
@@ -93,18 +93,18 @@ class TestPerSolveStats:
 class TestNonPerturbation:
     def test_traced_run_matches_untraced_run(self, world, traced):
         _, traced_result = traced
-        sim = Simulator(world.sites, world.workload, world.mix)
+        engine = Engine(world.sites, world.workload, world.mix)
         budgeter = world.budgeter(monthly_budget=5e5)
-        plain = sim.run_capping(budgeter, hours=HOURS)
+        plain = engine.run("capping", budgeter=budgeter, hours=HOURS)
         assert [h.realized_cost for h in plain.hours] == pytest.approx(
             [h.realized_cost for h in traced_result.hours]
         )
         assert plain.step_counts() == traced_result.step_counts()
 
     def test_untraced_run_records_nothing(self, world):
-        sim = Simulator(world.sites, world.workload, world.mix)
+        engine = Engine(world.sites, world.workload, world.mix)
         before = get_telemetry()
-        result = sim.run_capping(hours=1)
+        result = engine.run("capping", hours=1)
         assert result.total_cost > 0
         assert get_telemetry() is before
         assert not before.enabled or not before.tracer.finished

@@ -5,6 +5,14 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def _exit_code(argv):
+    """main()'s exit code, returned or raised (argparse exits by raising)."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -27,7 +35,7 @@ class TestParser:
             build_parser().parse_args(["simulate", "--policy", "9"])
 
     def test_trace_flag_on_run_commands(self):
-        for command in ("simulate", "compare", "study"):
+        for command in ("simulate", "compare", "sweep", "study"):
             args = build_parser().parse_args([command, "--trace", "t.jsonl"])
             assert args.trace == "t.jsonl"
 
@@ -42,6 +50,26 @@ class TestParser:
             assert args.damping == 0.8
             off = build_parser().parse_args([command])
             assert off.endogenous_prices is False
+
+    def test_subcommand_defaults(self):
+        parse = build_parser().parse_args
+        for command in ("simulate", "run", "compare", "sweep", "study"):
+            assert parse([command]).hours == 168, command
+        assert parse(["serve"]).hours == 24
+        assert parse(["resume", "ck.json"]).hours is None
+        for command in ("simulate", "compare", "sweep", "study", "serve"):
+            args = parse([command])
+            assert (args.seed, args.policy) == (7, 1), command
+            assert args.solver_backend is None, command
+        for command in ("simulate", "sweep", "serve"):
+            assert parse([command]).strategy == "capping", command
+        for command in ("simulate", "serve"):
+            args = parse([command])
+            assert args.degradation == "proportional", command
+            assert args.budget_fraction is None, command
+        assert parse(["resume", "ck.json", "--trace", "t.jsonl"]).trace == (
+            "t.jsonl"
+        )
 
     def test_telemetry_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -148,6 +176,10 @@ class TestCommands:
             ["headroom", "--load", "nan"],
             ["headroom", "--load", "inf"],
             ["headroom", "--load", "-5"],
+            ["sweep", "--budget-fractions", "nan"],
+            ["sweep", "--budget-fractions", "none,inf"],
+            ["sweep", "--demand-rates", "nan"],
+            ["sweep", "--demand-rates", "2,inf"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -159,12 +191,97 @@ class TestCommands:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--hours", "0"],
+            ["run", "--hours", "-3"],
+            ["compare", "--hours", "0"],
+            ["sweep", "--hours", "0"],
+            ["study", "--hours", "0"],
+            ["resume", "--hours", "0", "ck.json"],
+            ["study", "--seeds", "0"],
+            ["sweep", "--seeds", "0"],
+            ["sweep", "--workers", "0"],
+            ["sweep", "--cycle-hours", "24,0"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_counts_reject_values_below_one(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[1]}: must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "sweep", "study"])
+    def test_hours_beyond_the_month_is_a_clean_error(self, command, capsys):
+        assert main([command, "--hours", "100000"]) == 2
+        assert "--hours must be in 1..720" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_demand_rate_is_refused(self, rate, capsys):
+        assert main(["simulate", "--hours", "3", "--tariff",
+                     f"energy+demand:rate={rate},cycle=168"]) == 2
+        assert "demand rate must be finite" in capsys.readouterr().out
+
     @pytest.mark.slow
     def test_study_command(self, capsys):
         assert main(["study", "--seeds", "1", "--hours", "6"]) == 0
         out = capsys.readouterr().out
         assert "capping-savings" in out
         assert "1/1 seeds" in out
+
+
+class TestCompareCommand:
+    def test_two_strategies_print_both_blocks_and_savings(self, capsys):
+        assert main(["compare", "--hours", "2",
+                     "--strategies", "capping,min-only-avg"]) == 0
+        out = capsys.readouterr().out
+        assert "[cost-capping (uncapped)]" in out
+        assert "[min-only-avg]" in out
+        assert "-> capping saves" in out
+        assert "[min-only-low]" not in out
+
+    @pytest.mark.parametrize("names", ["bogus", "capping,bogus", "", ","])
+    def test_unknown_or_empty_strategies_exit_2(self, names):
+        assert _exit_code(["compare", "--hours", "2",
+                           "--strategies", names]) == 2
+
+
+class TestSweepCommand:
+    def test_budget_by_tariff_grid(self, capsys):
+        assert main([
+            "sweep", "--seeds", "1", "--hours", "2",
+            "--budget-fractions", "none,0.9", "--demand-rates", "none,2",
+            "--cycle-hours", "24",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "4 scenarios (1 seeds x 2 budgets x 2 tariffs)" in out
+        assert "peak MW" in out and "tariff" in out
+        rows = [line.split() for line in out.splitlines()
+                if line.startswith("     7 ")]
+        assert len(rows) == 4
+        assert [row[-1] for row in rows] == [
+            "energy", "energy+demand:rate=2,cycle=24",
+        ] * 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--budget-fractions", ""),
+            ("--budget-fractions", "abc"),
+            ("--budget-fractions", "0"),
+            ("--demand-rates", ""),
+            ("--demand-rates", "abc"),
+            ("--demand-rates", "-1"),
+            ("--cycle-hours", ""),
+            ("--cycle-hours", "abc"),
+            ("--cycle-hours", "0"),
+        ],
+    )
+    def test_bad_list_tokens_exit_2(self, flag, value):
+        assert _exit_code(["sweep", "--seeds", "1", "--hours", "2",
+                           flag, value]) == 2
 
 
 class TestTelemetryCommands:
@@ -388,6 +505,22 @@ class TestSolversCommand:
             ["simulate", "--hours", "2", "--solver-backend", "nope"]
         ) == 2
         assert "unknown solver backend" in capsys.readouterr().out
+
+    def test_study_rejects_unknown_backend(self, capsys):
+        assert main(
+            ["study", "--seeds", "1", "--hours", "2", "--solver-backend", "nope"]
+        ) == 2
+        assert "unknown solver backend" in capsys.readouterr().out
+
+    def test_study_applies_backend(self, capsys):
+        import os
+
+        assert main(
+            ["study", "--seeds", "1", "--hours", "1", "--solver-backend",
+             "scipy"]
+        ) == 0
+        assert os.environ["REPRO_SOLVER_BACKEND"] == "scipy"
+        assert "1/1 seeds" in capsys.readouterr().out
 
     def test_simulate_with_decomposition_backend(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_SOLVER_BACKEND", raising=False)

@@ -92,9 +92,8 @@ class TestPaperWorld:
         assert fracs[0] < 0.75 < fracs[-1]  # spans the premium cost share
 
     def test_heterogeneous_world(self):
-        from repro.core import PriceMode
         from repro.datacenter import HeterogeneousDataCenter
-        from repro.sim import Simulator
+        from repro.sim import Engine
 
         w = paper_world(heterogeneous=True, max_servers=400_000)
         assert all(
@@ -102,9 +101,9 @@ class TestPaperWorld:
         )
         assert all(len(dc.pools) == 2 for dc in w.datacenters)
         # The full pipeline works end to end, baselines included.
-        sim = Simulator(w.sites, w.workload, w.mix)
-        capping = sim.run_capping(hours=4)
-        baseline = sim.run_min_only(PriceMode.AVG, hours=4)
+        engine = Engine(w.sites, w.workload, w.mix)
+        capping = engine.run("capping", hours=4)
+        baseline = engine.run("min-only-avg", hours=4)
         assert capping.total_cost > 0
         assert capping.total_cost <= baseline.total_cost * 1.001
 

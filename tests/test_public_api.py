@@ -38,7 +38,7 @@ class TestTopLevel:
             "MinOnlyDispatcher",
             "PriceMode",
             "Site",
-            "Simulator",
+            "Engine",
             "SimulationResult",
             "PaperWorld",
             "paper_world",
