@@ -5,8 +5,8 @@ point but knows nothing about strategies; this module binds it into the
 stage pipeline. :class:`EndogenousPrices` is the shared runtime — it
 re-runs the hour's dispatch through
 :func:`~repro.sim.engine.dispatch_with_degradation` against regenerated
-policies and, on convergence, installs a per-site policy override so
-:meth:`Engine._realize` bills the hour at the endogenous prices.
+policies and, on convergence, sets the hour's ``ctx.market`` to the
+endogenous policies so :meth:`Engine._realize` bills the hour at them.
 :class:`EndogenousPriceMiddleware` wraps it as a
 :class:`~repro.sim.engine.StageMiddleware` for ``Engine.run`` /
 ``Engine.resume``; the streaming control plane
@@ -15,8 +15,8 @@ policies and, on convergence, installs a per-site policy override so
 When the fixed point falls back (iteration budget exhausted, e.g. a
 genuine price oscillation, or an infeasible operating point under an
 N-1 outage), the hour settles on the unchanged exogenous path: original
-decision, original policies, no override. Runs without the feature
-never construct any of this and stay bit-identical.
+decision, original market. Runs without the feature never construct any
+of this and stay bit-identical.
 """
 
 from __future__ import annotations
@@ -104,19 +104,23 @@ class EndogenousPrices:
     # -- the per-hour pass -------------------------------------------------
 
     def apply(self, ctx: HourContext, state: RunState) -> FixedPointResult:
-        """Run the hour's fixed point; install the realize override.
+        """Run the hour's fixed point; set the market it is billed at.
 
         Must be called after the exogenous dispatch has set
         ``ctx.decision``. On convergence ``ctx.decision`` holds the
-        re-dispatched allocation and ``engine.policy_override`` the
-        endogenous policies (the caller clears the override once the
-        hour is realized); on fallback both are restored to the
-        exogenous state.
+        re-dispatched allocation and ``ctx.market`` the hour's market
+        (``ctx.market``, or the true hour when unset) under the
+        endogenous policies; on fallback both are left as they were.
         """
         t = ctx.hour
         coupled = self.pricer.coupling.site_buses
+        market = (
+            ctx.market if ctx.market is not None
+            else self.engine._site_hours(t)
+        )
+        snapshot = {sh.name: sh for sh in market}
         background = {
-            name: float(self._sites[name].background_mw[t]) for name in coupled
+            name: snapshot[name].background_mw for name in coupled
         }
         exo_decision = ctx.decision
         exo_site_hours = list(ctx.site_hours)
@@ -155,15 +159,15 @@ class EndogenousPrices:
         self.last = result
         if result.converged:
             # Bill at the endogenous prices the converged dispatch saw.
-            self.engine.policy_override = {
-                name: result.policies[bus]
-                for name, bus in coupled.items()
-                if bus in result.policies
-            }
+            policies = result.policies
+            ctx.market = [
+                dataclasses.replace(sh, policy=policies[coupled[sh.name]])
+                if coupled.get(sh.name) in policies else sh
+                for sh in market
+            ]
         else:
             # Exogenous fallback: the hour proceeds as if the loop were off.
             ctx.decision = exo_decision
-            self.engine.policy_override = None
         ctx.site_hours = exo_site_hours
         if ctx.span is not None:
             ctx.span.set(
@@ -173,18 +177,13 @@ class EndogenousPrices:
             )
         return result
 
-    def clear(self) -> None:
-        """Drop the realize override (call after the hour is billed)."""
-        self.engine.policy_override = None
-
 
 class EndogenousPriceMiddleware(StageMiddleware):
     """Stage middleware running the fixed point after each dispatch.
 
-    Compose into ``Engine.run(..., middleware=[mw])``; the override is
-    installed right after the ``dispatch`` stage (so ``realize`` bills
-    endogenously) and dropped when the hour closes, whether or not the
-    hour settled cleanly.
+    Compose into ``Engine.run(..., middleware=[mw])``; the fixed point
+    runs right after the ``dispatch`` stage, so ``realize`` bills the
+    hour at the market it sets.
     """
 
     def __init__(self, runtime: EndogenousPrices):
@@ -209,13 +208,6 @@ class EndogenousPriceMiddleware(StageMiddleware):
                 mutate=mutate,
             )
         )
-
-    @contextlib.contextmanager
-    def hour(self, ctx: HourContext, state: RunState):
-        try:
-            yield
-        finally:
-            self.runtime.clear()
 
     @contextlib.contextmanager
     def stage(self, name: str, ctx: HourContext, state: RunState):

@@ -125,3 +125,66 @@ class TestFallbackWiring:
         world = paper_world()
         engine = Engine(world.sites, world.workload, world.mix, batched=False)
         assert engine._bank is None and engine._curves is None
+
+
+class TestBillingMarket:
+    """``_realize`` bills every site at the market snapshot it is handed."""
+
+    HOUR = 10
+
+    @staticmethod
+    def _decision(engine, t):
+        from repro.core import BillCapper
+
+        total = float(engine.workload.rates_rps[t])
+        return BillCapper().decide(
+            engine._site_hours(t),
+            engine.mix.premium_rate(total),
+            engine.mix.ordinary_rate(total),
+            float("inf"),
+        )
+
+    def test_none_bills_the_true_hour(self):
+        world = paper_world()
+        for batched in (True, False):
+            engine = Engine(
+                world.sites, world.workload, world.mix, batched=batched
+            )
+            decision = self._decision(engine, self.HOUR)
+            default = engine._realize(self.HOUR, decision, None)
+            true = engine._realize(
+                self.HOUR, decision, engine._site_hours(self.HOUR)
+            )
+            assert default.to_dict() == true.to_dict()
+
+    def test_handed_policy_and_background_set_the_price(self):
+        world = paper_world()
+        records = []
+        for batched in (True, False):
+            engine = Engine(
+                world.sites, world.workload, world.mix, batched=batched
+            )
+            decision = self._decision(engine, self.HOUR)
+            true = engine._site_hours(self.HOUR)
+            flat = dataclasses.replace(
+                true[0].policy, breakpoints=(), prices=(99.0,)
+            )
+            market = [
+                dataclasses.replace(true[0], policy=flat),
+                dataclasses.replace(
+                    true[1], background_mw=true[1].background_mw * 1.5
+                ),
+                *true[2:],
+            ]
+            billed = engine._realize(self.HOUR, decision, market)
+            plain = engine._realize(self.HOUR, decision, None)
+            assert billed.sites[0].price == 99.0
+            assert billed.sites[0].cost == 99.0 * billed.sites[0].power_mw
+            assert billed.sites[1].price == true[1].policy.price(
+                market[1].background_mw + billed.sites[1].power_mw
+            )
+            assert billed.sites[2:] == plain.sites[2:]
+            assert billed.sites[0].price != plain.sites[0].price
+            assert billed.sites[1].price != plain.sites[1].price
+            records.append(billed.to_dict())
+        assert records[0] == records[1]

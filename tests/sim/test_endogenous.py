@@ -6,7 +6,7 @@ The acceptance criteria of the closed-loop PR, as tests:
   within the iteration budget;
 * with the feature off, runs are bit-identical to the plain pipeline
   (field for field, including after an endogenous run on the same
-  world);
+  engine: no billing state outlives its hour);
 * hours that fall back settle exactly on the exogenous path;
 * the sweep metric exposes the scenario axes (N-1 outage, renewable
   background, multi-operator competition) and competition moves prices.
@@ -68,9 +68,8 @@ class TestEngineIntegration:
         mw = EndogenousPriceMiddleware.for_engine(engine)
         with use_telemetry(Telemetry()):
             engine.run("capping", hours=6, middleware=[mw])
-        # The override must not survive the run: a plain run on the
-        # same engine reproduces the baseline exactly.
-        assert engine.policy_override is None
+        # Endogenous prices must not survive the run: a plain run on
+        # the same engine reproduces a fresh engine's run exactly.
         assert _dicts(engine.run("capping", hours=HOURS)) == baseline
 
     def test_fallback_hours_settle_exogenously(self, baseline):
@@ -89,8 +88,14 @@ class TestEngineIntegration:
             result = engine.run("capping", hours=HOURS, middleware=[mw])
         assert tel.registry.get("closedloop.fallback").value == HOURS
         assert tel.registry.get("closedloop.converged") is None
-        assert engine.policy_override is None
         assert _dicts(result) == baseline
+
+
+def _exogenous_events(world, engine):
+    loop = ControlLoop(
+        engine, "capping", budgeter=world.budgeter(2_000_000.0), hours=2
+    )
+    return loop.on_tick(Tick(seq=0, time_s=0.0, kind="lambda", value=100.0))
 
 
 class TestServeIntegration:
@@ -110,7 +115,12 @@ class TestServeIntegration:
             )
         assert events
         assert runtime.last is not None and runtime.last.converged
-        assert engine.policy_override is None
+        # An exogenous loop on the same engine decides and bills as on
+        # a fresh one.
+        fresh_world, fresh = _engine()
+        assert _exogenous_events(world, engine) == _exogenous_events(
+            fresh_world, fresh
+        )
 
     def test_exogenous_loop_unaffected(self):
         world, engine = _engine()
