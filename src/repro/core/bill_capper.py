@@ -20,17 +20,12 @@ Section III: every invocation period the bill capper
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-from ..solver import SolverError
 from ..telemetry import get_telemetry
 from .allocation import CappingStep, HourlyDecision
 from .cost_min import CostMinimizer
 from .site import SiteHour
 from .throughput_max import ThroughputMaximizer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..resilience.degradation import DegradationPolicy
 
 __all__ = ["BillCapper"]
 
@@ -38,14 +33,15 @@ __all__ = ["BillCapper"]
 #: step-2 invocations on solver round-off.
 _BUDGET_RTOL = 1e-9
 
-#: Sentinel distinguishing "no per-call degradation override" from an
-#: explicit ``degradation=None`` (which forces raise-on-failure).
-_UNSET = object()
-
 
 @dataclass
 class BillCapper:
     """Two-step electricity-bill-capping dispatcher.
+
+    A :class:`~repro.solver.SolverError` escaping the whole solver
+    stack (past the fallback chain) propagates out of :meth:`decide`;
+    the engine's dispatch stage (:mod:`repro.sim.engine`) turns it into
+    a degraded hour.
 
     Parameters
     ----------
@@ -62,13 +58,6 @@ class BillCapper:
         realized bill (exact stepped models) runs slightly above the
         smooth decision estimate; reserving a small headroom keeps
         realized spending under the true budget.
-    degradation:
-        When set, a :class:`~repro.solver.SolverError` escaping the
-        whole solver stack (past the fallback chain) no longer
-        propagates: the hour is dispatched by this
-        :class:`~repro.resilience.DegradationPolicy` instead, marked
-        :attr:`~repro.core.allocation.CappingStep.DEGRADED`. ``None``
-        (the default) preserves the raise-on-failure behaviour.
     """
 
     cost_minimizer: CostMinimizer = field(default_factory=CostMinimizer)
@@ -77,11 +66,6 @@ class BillCapper:
     )
     shed_beyond_capacity: bool = True
     budget_safety: float = 0.98
-    degradation: "DegradationPolicy | None" = None
-    #: Last successfully solved decision, feeding the hold-last policy.
-    _last_good: HourlyDecision | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def decide(
         self,
@@ -90,8 +74,6 @@ class BillCapper:
         ordinary_rps: float,
         budget: float,
         *,
-        forced_failure: Exception | None = None,
-        degradation: "DegradationPolicy | None | object" = _UNSET,
         peak_term: tuple[float, float] | None = None,
     ) -> HourlyDecision:
         """Run the two-step algorithm for one invocation period.
@@ -105,16 +87,6 @@ class BillCapper:
         budget:
             The budgeter's hourly budget Cs ($); ``inf`` disables
             capping (pure cost minimization).
-        forced_failure:
-            Fault-injection hook: when given, the solve is skipped and
-            this exception is raised in its place, exercising exactly
-            the degradation path a genuine solver-stack failure takes.
-        degradation:
-            Per-call override of the instance's degradation policy
-            (``None`` forces raise-on-failure). The instance itself is
-            never mutated — run-scoped policies (the engine's
-            ``degradation=`` argument) ride through here instead of
-            leaking into a caller-supplied capper.
         peak_term:
             ``(cycle_peak_mw, penalty_per_mw)`` when a demand charge is
             in force (see :class:`repro.billing.DemandCharge`). Step
@@ -131,58 +103,16 @@ class BillCapper:
             raise ValueError("budget must be >= 0")
         tel = get_telemetry()
         if not tel.enabled:
-            return self._guarded(
-                site_hours, premium_rps, ordinary_rps, budget, forced_failure,
-                degradation, peak_term,
+            return self._decide(
+                site_hours, premium_rps, ordinary_rps, budget, peak_term
             )
         with tel.span("capper.decide") as sp:
-            decision = self._guarded(
-                site_hours, premium_rps, ordinary_rps, budget, forced_failure,
-                degradation, peak_term,
+            decision = self._decide(
+                site_hours, premium_rps, ordinary_rps, budget, peak_term
             )
             sp.set(step=decision.step.value, predicted_cost=decision.predicted_cost)
         tel.counter(f"capper.step.{decision.step.value}").inc()
         tel.histogram("capper.predicted_cost").observe(decision.predicted_cost)
-        return decision
-
-    def _guarded(
-        self,
-        site_hours: list[SiteHour],
-        premium_rps: float,
-        ordinary_rps: float,
-        budget: float,
-        forced_failure: Exception | None,
-        degradation: "DegradationPolicy | None | object" = _UNSET,
-        peak_term: tuple[float, float] | None = None,
-    ) -> HourlyDecision:
-        """Run the two-step solve, degrading instead of crashing the hour."""
-        policy = self.degradation if degradation is _UNSET else degradation
-        try:
-            if forced_failure is not None:
-                raise forced_failure
-            decision = self._decide(
-                site_hours, premium_rps, ordinary_rps, budget, peak_term
-            )
-        except SolverError as exc:
-            if policy is None:
-                raise
-            # Imported here: resilience depends on core's result types,
-            # so a module-level import would be circular.
-            from ..resilience.degradation import degraded_decision
-
-            tel = get_telemetry()
-            if tel.enabled:
-                tel.counter("capper.degraded").inc()
-                tel.counter(f"capper.degraded.{type(exc).__name__}").inc()
-            return degraded_decision(
-                policy,
-                site_hours,
-                premium_rps,
-                ordinary_rps,
-                budget,
-                last=self._last_good,
-            )
-        self._last_good = decision
         return decision
 
     def _decide(

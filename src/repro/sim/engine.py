@@ -110,8 +110,11 @@ class HourContext:
 
     Built fresh by the engine every hour; stages fill it in as they
     run. Strategies read ``site_hours`` (the *observed*, possibly
-    fault-degraded snapshots), the per-class offered load, ``budget``
-    and ``forced_failure``; they never see the engine's run state.
+    fault-degraded snapshots), the per-class offered load and
+    ``budget``; they never see the engine's run state. An injected
+    solver fault (``forced_failure``) is raised by
+    :func:`dispatch_with_degradation` before ``decide`` is called, so
+    no strategy reads it.
     """
 
     hour: int
@@ -169,14 +172,15 @@ class DispatchStrategy(Protocol):
     * :meth:`decide` — called once per hour with the
       :class:`HourContext`; must return an
       :class:`~repro.core.HourlyDecision`. Raising
-      :class:`~repro.solver.SolverError` (including re-raising
-      ``ctx.forced_failure``) hands the hour to the engine's
-      degradation path.
+      :class:`~repro.solver.SolverError` hands the hour to the
+      engine's degradation path; injected faults never reach
+      ``decide``.
 
     Optional hooks: ``result_name`` (display name for the
     :class:`~repro.sim.records.SimulationResult`), ``state_dict()`` /
     ``load_state(state)`` (JSON-serializable strategy state persisted
-    into engine checkpoints, e.g. the capper's hold-last decision).
+    into engine checkpoints). The hold-last decision is not strategy
+    state: the engine keeps it as :attr:`RunState.last_good`.
     """
 
     name: str
@@ -203,8 +207,8 @@ class RunState:
     ledger: SettlementLedger | None = None
     #: Budgeter snapshot backing the ``budget_loss`` fault channel.
     restore_ckpt: dict | None = None
-    #: Last successfully solved decision (feeds HOLD_LAST degradation
-    #: for strategies without their own degradation handling).
+    #: Last successfully solved decision: the HOLD_LAST history of
+    #: every strategy, persisted in engine and control-loop checkpoints.
     last_good: HourlyDecision | None = None
 
 
@@ -213,22 +217,26 @@ def dispatch_with_degradation(
 ) -> HourlyDecision:
     """Run the strategy for one context; degrade instead of crashing.
 
-    Strategies with their own degradation handling (the
-    :class:`~repro.core.BillCapper`) never raise here; for the rest, a
-    :class:`~repro.solver.SolverError` — genuine or fault-injected —
-    falls back to the context's effective degradation policy with the
-    run's last good decision as HOLD_LAST history. Shared by the
-    engine's ``dispatch`` stage and every sub-hourly re-dispatch of the
+    The one place a :class:`~repro.solver.SolverError` becomes a
+    degraded hour. An injected fault (``ctx.forced_failure``) is raised
+    here in place of the strategy's ``decide``, so it takes the same
+    ``except`` path as a genuine solver-stack failure: the context's
+    effective degradation policy dispatches the hour, with the run's
+    last good decision as HOLD_LAST history. Shared by the engine's
+    ``dispatch`` stage and every sub-hourly re-dispatch of the
     streaming control plane.
     """
     tel = get_telemetry()
     try:
+        if ctx.forced_failure is not None:
+            raise ctx.forced_failure
         decision = ctx.strategy.decide(ctx)
-    except SolverError:
+    except SolverError as exc:
         policy = ctx.effective_degradation
         if policy is None:
             raise
         tel.counter("engine.degraded").inc()
+        tel.counter(f"engine.degraded.{type(exc).__name__}").inc()
         decision = degraded_decision(
             policy,
             ctx.site_hours,
@@ -305,8 +313,10 @@ class FaultMiddleware(StageMiddleware):
     At hour start it draws the hour's :class:`HourFaults`, records the
     injection counters and span attribute, restores a budgeter lost to
     the ``budget_loss`` channel from the engine's rolling checkpoint,
-    and arms ``ctx.forced_failure`` so the dispatch stage dies exactly
-    as a genuine solver-stack failure would.
+    and arms ``ctx.forced_failure``, which
+    :func:`dispatch_with_degradation` raises in place of the strategy's
+    ``decide`` so the hour degrades exactly as a genuine solver-stack
+    failure would.
     """
 
     def __init__(self, injector: FaultInjector):

@@ -31,7 +31,6 @@ from ..core import (
     PriceMode,
     regions_of,
 )
-from ..resilience import DegradationPolicy
 from .engine import Engine, HourContext
 from .registry import register_strategy
 
@@ -42,10 +41,9 @@ __all__ = ["CappingStrategy", "MinOnlyStrategy", "HierarchicalStrategy"]
 class CappingStrategy:
     """The paper's two-step Cost Capping algorithm as an engine strategy.
 
-    Degradation stays *inside* the :class:`~repro.core.BillCapper` (its
-    ``capper.degraded`` counters are part of the telemetry contract):
-    the run-level policy from the engine is resolved here and passed as
-    a per-call override, so a caller-supplied capper is never mutated.
+    A demand charge in the run's tariff exposes its linearized peak
+    term (``(cycle peak, $/MW penalty)``) to the capper; the energy-only
+    default yields ``None`` and the capper's flow is untouched.
     """
 
     name = "capping"
@@ -58,50 +56,15 @@ class CappingStrategy:
         pass
 
     def decide(self, ctx: HourContext) -> HourlyDecision:
-        effective = ctx.degradation or self.capper.degradation
-        if effective is None and ctx.faults_active:
-            effective = DegradationPolicy.PROPORTIONAL
-        # A demand charge in the run's tariff exposes its linearized
-        # peak term ((cycle peak, $/MW penalty)); the energy-only
-        # default yields None and the capper's flow is untouched.
-        peak_term = (
-            ctx.ledger.peak_term(ctx.hour) if ctx.ledger is not None else None
-        )
-        if peak_term is None:
-            return self.capper.decide(
-                ctx.site_hours,
-                ctx.demand_premium_rps,
-                ctx.demand_ordinary_rps,
-                ctx.budget,
-                forced_failure=ctx.forced_failure,
-                degradation=effective,
-            )
         return self.capper.decide(
             ctx.site_hours,
             ctx.demand_premium_rps,
             ctx.demand_ordinary_rps,
             ctx.budget,
-            forced_failure=ctx.forced_failure,
-            degradation=effective,
-            peak_term=peak_term,
-        )
-
-    # The capper's hold-last history is run state: without it a resumed
-    # HOLD_LAST run would degrade differently than the straight-through
-    # one on its first post-resume failure.
-    def state_dict(self) -> dict:
-        return {
-            "last_good": (
-                self.capper._last_good.to_dict()
-                if self.capper._last_good is not None
-                else None
-            )
-        }
-
-    def load_state(self, state: dict) -> None:
-        last = state.get("last_good")
-        self.capper._last_good = (
-            HourlyDecision.from_dict(last) if last is not None else None
+            peak_term=(
+                ctx.ledger.peak_term(ctx.hour)
+                if ctx.ledger is not None else None
+            ),
         )
 
 
@@ -135,8 +98,6 @@ class MinOnlyStrategy:
             )
 
     def decide(self, ctx: HourContext) -> HourlyDecision:
-        if ctx.forced_failure is not None:
-            raise ctx.forced_failure
         decision = self.dispatcher.solve(ctx.site_hours, ctx.total_rps)
         return HourlyDecision(
             step=CappingStep.BASELINE,
@@ -173,8 +134,6 @@ class HierarchicalStrategy:
         pass
 
     def decide(self, ctx: HourContext) -> HourlyDecision:
-        if ctx.forced_failure is not None:
-            raise ctx.forced_failure
         regions = regions_of(ctx.site_hours, self.sites_per_region)
         return self.capper.decide(
             regions,

@@ -1,23 +1,67 @@
-"""BillCapper degradation: solver-stack failures become degraded hours."""
+"""Bill-capper solver failures become degraded hours — in the engine.
+
+The capper itself only raises. The engine's
+:func:`~repro.sim.engine.dispatch_with_degradation` is the one place a
+:class:`~repro.solver.SolverError` turns into a degraded hour, so each
+test drives a :class:`~repro.sim.strategies.CappingStrategy` whose cost
+minimizer dies through :meth:`repro.sim.Engine.run`.
+"""
+
+import json
 
 import pytest
 
-from repro.core import BillCapper, CappingStep
+from repro.core import BillCapper, CappingStep, CostMinimizer
+from repro.experiments import paper_world
 from repro.resilience import DegradationPolicy
-from repro.solver import InfeasibleError, SolverError, SolverLimitError
+from repro.sim import Engine
+from repro.sim.strategies import CappingStrategy
+from repro.solver import InfeasibleError, SolverLimitError
 from repro.telemetry import Telemetry, snapshot, summarize, use_telemetry
+
+HOURS = 6
 
 
 class _ExplodingMinimizer:
-    """Cost-minimizer stub whose solver stack always dies."""
+    """Cost-minimizer stub whose solver stack dies after ``solved`` calls."""
 
-    def __init__(self, exc=None):
+    def __init__(self, exc=None, solved=0):
         self.exc = exc or SolverLimitError("stub: node limit exhausted")
+        self.solved = solved
+        self.inner = CostMinimizer()
         self.calls = 0
 
     def solve(self, site_hours, total_rate_rps):
         self.calls += 1
+        if self.calls <= self.solved:
+            return self.inner.solve(site_hours, total_rate_rps)
         raise self.exc
+
+
+def _capping(exc=None, solved=0):
+    return CappingStrategy(
+        capper=BillCapper(cost_minimizer=_ExplodingMinimizer(exc, solved))
+    )
+
+
+def _rates(record):
+    return [s.dispatched_rps for s in record.sites]
+
+
+@pytest.fixture(scope="module")
+def world():
+    return paper_world(max_servers=500_000, seed=3)
+
+
+@pytest.fixture(scope="module")
+def engine(world):
+    return Engine(world.sites, world.workload, world.mix)
+
+
+@pytest.fixture(scope="module")
+def monthly(world, engine):
+    anchor = engine.run("capping", hours=HOURS)
+    return anchor.total_cost * world.hours / HOURS * 0.85
 
 
 class TestDegradationOff:
@@ -26,71 +70,85 @@ class TestDegradationOff:
         with pytest.raises(SolverLimitError):
             capper.decide(three_sites, 1e6, 1e6, float("inf"))
 
-    def test_forced_failure_propagates_by_default(self, three_sites):
-        capper = BillCapper()
-        with pytest.raises(SolverError):
-            capper.decide(
-                three_sites, 1e6, 1e6, float("inf"),
-                forced_failure=SolverError("injected"),
-            )
-
 
 class TestDegradationOn:
-    def test_solver_failure_becomes_degraded_decision(self, three_sites):
-        capper = BillCapper(
-            cost_minimizer=_ExplodingMinimizer(),
+    def test_solver_failure_becomes_degraded_decision(
+        self, world, engine, monthly
+    ):
+        result = engine.run(
+            _capping(),
+            budgeter=world.budgeter(monthly),
+            hours=HOURS,
             degradation=DegradationPolicy.PROPORTIONAL,
         )
-        d = capper.decide(three_sites, 1e6, 2e6, 50.0)
-        assert d.step is CappingStep.DEGRADED
-        assert d.served_premium_rps == pytest.approx(1e6)
-        assert d.served_ordinary_rps == pytest.approx(2e6)
-        assert d.budget == 50.0
+        assert result.degraded_hours == HOURS
+        replay = world.budgeter(monthly)
+        for h in result.hours:
+            assert h.step is CappingStep.DEGRADED
+            assert h.served_premium_rps == pytest.approx(h.demand_premium_rps)
+            assert h.served_ordinary_rps == pytest.approx(
+                h.demand_ordinary_rps
+            )
+            # The hour keeps the budget the budgeter handed it.
+            assert h.budget == replay.hourly_budget()
+            replay.record_spend(h.settled_cost)
 
-    def test_infeasible_also_degrades(self, three_sites):
-        capper = BillCapper(
-            cost_minimizer=_ExplodingMinimizer(InfeasibleError("stub")),
+    def test_infeasible_also_degrades(self, world, engine, monthly):
+        result = engine.run(
+            _capping(InfeasibleError("stub")),
+            budgeter=world.budgeter(monthly),
+            hours=HOURS,
             degradation=DegradationPolicy.PREMIUM_SHED,
         )
-        d = capper.decide(three_sites, 1e6, 2e6, 50.0)
-        assert d.step is CappingStep.DEGRADED
-        assert d.served_ordinary_rps == 0.0
+        assert result.degraded_hours == HOURS
+        for h in result.hours:
+            assert h.step is CappingStep.DEGRADED
+            assert h.demand_ordinary_rps > 0
+            assert h.served_ordinary_rps == 0.0
+            assert h.served_premium_rps == pytest.approx(h.demand_premium_rps)
 
-    def test_non_solver_errors_still_propagate(self, three_sites):
-        capper = BillCapper(
-            cost_minimizer=_ExplodingMinimizer(TypeError("a genuine bug")),
-            degradation=DegradationPolicy.PROPORTIONAL,
+    def test_non_solver_errors_still_propagate(self, engine):
+        for policy in (None, *DegradationPolicy):
+            with pytest.raises(TypeError, match="a genuine bug"):
+                engine.run(
+                    _capping(TypeError("a genuine bug")),
+                    hours=2,
+                    degradation=policy,
+                )
+
+    def test_hold_last_uses_previous_successful_decision(self, engine):
+        result = engine.run(
+            _capping(solved=1),
+            hours=2,
+            degradation=DegradationPolicy.HOLD_LAST,
         )
-        with pytest.raises(TypeError):
-            capper.decide(three_sites, 1e6, 1e6, float("inf"))
-
-    def test_hold_last_uses_previous_successful_decision(self, three_sites):
-        capper = BillCapper(degradation=DegradationPolicy.HOLD_LAST)
-        good = capper.decide(three_sites, 1e6, 1e6, float("inf"))
+        good, held = result.hours
         assert good.step is CappingStep.COST_MIN
-        held = capper.decide(
-            three_sites, 5e6, 5e6, float("inf"),
-            forced_failure=SolverError("injected"),
-        )
         assert held.step is CappingStep.DEGRADED
-        assert {a.site: a.rate_rps for a in held.allocations} == pytest.approx(
-            {a.site: a.rate_rps for a in good.allocations}
-        )
+        assert _rates(held) == pytest.approx(_rates(good))
 
-    def test_degraded_hours_do_not_pollute_hold_last_history(self, three_sites):
-        capper = BillCapper(degradation=DegradationPolicy.HOLD_LAST)
-        good = capper.decide(three_sites, 1e6, 1e6, float("inf"))
-        for _ in range(2):  # two consecutive failures hold the same plan
-            held = capper.decide(
-                three_sites, 8e6, 8e6, float("inf"),
-                forced_failure=SolverError("injected"),
-            )
-            assert {a.site: a.rate_rps for a in held.allocations} == pytest.approx(
-                {a.site: a.rate_rps for a in good.allocations}
-            )
+    def test_degraded_hours_do_not_pollute_hold_last_history(
+        self, engine, tmp_path
+    ):
+        path = tmp_path / "run.json"
+        result = engine.run(
+            _capping(solved=1),
+            hours=4,
+            degradation=DegradationPolicy.HOLD_LAST,
+            checkpoint_path=path,
+        )
+        good, *held = result.hours
+        assert good.step is CappingStep.COST_MIN
+        for h in held:  # consecutive failures hold the same plan
+            assert h.step is CappingStep.DEGRADED
+            assert _rates(h) == pytest.approx(_rates(good))
+        # The run's hold-last history is still the one solved hour.
+        last_good = json.loads(path.read_text())["last_good"]
+        assert last_good["step"] == CappingStep.COST_MIN.value
+        assert [a["rate_rps"] for a in last_good["allocations"]] == _rates(good)
 
     def test_validation_still_raises_before_degradation(self, three_sites):
-        capper = BillCapper(degradation=DegradationPolicy.PROPORTIONAL)
+        capper = BillCapper()
         with pytest.raises(ValueError):
             capper.decide(three_sites, -1.0, 0.0, 10.0)
         with pytest.raises(ValueError):
@@ -98,16 +156,17 @@ class TestDegradationOn:
 
 
 class TestTelemetry:
-    def test_degraded_decisions_counted(self, three_sites):
-        capper = BillCapper(
-            cost_minimizer=_ExplodingMinimizer(),
-            degradation=DegradationPolicy.PROPORTIONAL,
-        )
+    def test_degraded_decisions_counted(self, world, engine, monthly):
         tel = Telemetry()
         with use_telemetry(tel):
-            capper.decide(three_sites, 1e6, 1e6, 50.0)
-            capper.decide(three_sites, 1e6, 1e6, 50.0)
+            result = engine.run(
+                _capping(),
+                budgeter=world.budgeter(monthly),
+                hours=HOURS,
+                degradation=DegradationPolicy.PROPORTIONAL,
+            )
         counters = summarize(snapshot(tel))["counters"]
-        assert counters["capper.degraded"] == 2
-        assert counters["capper.degraded.SolverLimitError"] == 2
-        assert counters["capper.step.degraded"] == 2
+        assert result.degraded_hours == HOURS
+        assert counters["engine.degraded"] == HOURS
+        assert counters["engine.degraded.SolverLimitError"] == HOURS
+        assert counters["resilience.degraded_hours"] == HOURS

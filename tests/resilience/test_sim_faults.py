@@ -79,7 +79,7 @@ class TestChaosRun:
         result, tel = chaos
         values = _counters(tel)
         assert values["resilience.degraded_hours"] == result.degraded_hours
-        assert values["capper.degraded"] == result.degraded_hours
+        assert values["engine.degraded"] == result.degraded_hours
         injected = {
             k: v for k, v in values.items() if k.startswith("resilience.injected.")
         }

@@ -10,12 +10,18 @@ halves of that contract for the other registered strategies:
   to a plain run for **all** strategies.
 """
 
+import pathlib
+import re
+
 import pytest
 
 from repro.experiments import paper_world
 from repro.resilience import DegradationPolicy, FaultInjector, FaultSpec
 from repro.sim import Engine, available_strategies
+from repro.sim.registry import _FACTORIES
 from repro.telemetry import Telemetry, snapshot, summarize, use_telemetry
+
+TUTORIAL = pathlib.Path(__file__).resolve().parents[2] / "docs" / "TUTORIAL.md"
 
 HOURS = 12
 
@@ -119,6 +125,62 @@ class TestFaultedPriceTakers:
         a = engine.run("min-only-avg", hours=HOURS, faults=FaultInjector(CHAOS))
         b = engine.run("min-only-avg", hours=HOURS, faults=FaultInjector(CHAOS))
         assert [h.to_dict() for h in a.hours] == [h.to_dict() for h in b.hours]
+
+
+def _tutorial_strategy(class_name):
+    """The class a TUTORIAL code block defines, exactly as documented."""
+    blocks = re.findall(r"```python\n(.*?)```", TUTORIAL.read_text(), re.S)
+    block = next(b for b in blocks if f"class {class_name}:" in b)
+    namespace: dict = {}
+    try:
+        exec(block, namespace)
+    finally:
+        _FACTORIES.pop("greedy-cheapest", None)  # the block registers it
+    return namespace[class_name]
+
+
+class TestInjectedFaultsNeverReachDecide:
+    """The engine raises an injected fault in place of ``decide``, so a
+    strategy needs no fault-injection code to degrade under it."""
+
+    def test_tutorial_strategy_degrades_every_faulted_hour(self, engine):
+        greedy = _tutorial_strategy("GreedyCheapest")
+        tel = Telemetry()
+        with use_telemetry(tel):
+            result = engine.run(
+                greedy(),
+                hours=24,
+                faults=FaultInjector(FaultSpec(solver_error=1.0, seed=5)),
+            )
+        assert result.degraded_hours == 24
+        counters = summarize(snapshot(tel))["counters"]
+        assert counters["engine.degraded"] == 24
+        assert counters["engine.degraded.SolverError"] == 24
+
+    def test_decide_is_not_called_on_a_faulted_hour(self, engine):
+        from repro.core import PriceMode
+        from repro.sim.strategies import MinOnlyStrategy
+
+        class Counting(MinOnlyStrategy):
+            calls = 0
+
+            def decide(self, ctx):
+                Counting.calls += 1
+                return super().decide(ctx)
+
+        spec = FaultSpec(solver_error=0.3, solver_timeout=0.15, seed=11)
+        faulted = sum(
+            FaultInjector(spec).faults_for(t).solver_exception() is not None
+            for t in range(HOURS)
+        )
+        result = engine.run(
+            Counting(mode=PriceMode.AVG),
+            hours=HOURS,
+            faults=FaultInjector(spec),
+        )
+        assert 0 < faulted < HOURS
+        assert result.degraded_hours == faulted
+        assert Counting.calls == HOURS - faulted
 
 
 class TestFaultFreePathUnchanged:

@@ -114,22 +114,6 @@ class TestWrapperEquivalence:
         )
         assert records_equal(by_name, by_instance)
 
-    def test_caller_capper_not_mutated(self, world, engine):
-        """A caller-supplied BillCapper comes back untouched (no
-        `capper.degradation = ...` leak from the run)."""
-        from repro.resilience import DegradationPolicy, FaultInjector, FaultSpec
-
-        capper = BillCapper()
-        assert capper.degradation is None
-        engine.run(
-            CappingStrategy(capper=capper),
-            hours=6,
-            faults=FaultInjector(FaultSpec(solver_error=1.0)),
-            degradation=DegradationPolicy.PROPORTIONAL,
-        )
-        assert capper.degradation is None
-        assert capper._last_good is None
-
 
 class TestValidation:
     def test_price_taker_rejects_budgeter(self, world, engine):
