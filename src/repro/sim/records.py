@@ -82,7 +82,12 @@ class HourRecord:
 
     @property
     def over_budget(self) -> bool:
-        return self.realized_cost > self.budget * (1 + 1e-9)
+        """True when the hour's full bill settled above its budget.
+
+        Compares :attr:`settled_cost`, the bill the cap and the
+        budgeter see, so a demand line pushing an hour over counts.
+        """
+        return self.settled_cost > self.budget * (1 + 1e-9)
 
     @property
     def degraded(self) -> bool:

@@ -1,8 +1,11 @@
 """Unit tests for simulation records and aggregates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.billing import LineItem
 from repro.core import CappingStep
 from repro.sim import HourRecord, SimulationResult, SiteRecord
 
@@ -42,6 +45,45 @@ class TestHourRecord:
         assert make_hour(budget=50.0, realized=100.0).over_budget
         assert not make_hour(budget=100.0, realized=100.0).over_budget
         assert not make_hour().over_budget  # inf budget
+
+    def test_over_budget_counts_the_demand_line(self):
+        energy_fits = make_hour(budget=100.0, realized=90.0)
+        billed = dataclasses.replace(
+            energy_fits,
+            line_items=(LineItem("energy", 90.0), LineItem("demand", 20.0)),
+        )
+        assert not energy_fits.over_budget
+        assert billed.over_budget
+
+
+class TestHoursOverBudgetUnderDemandCharge:
+    def test_count_is_hours_whose_line_items_exceed_the_budget(self):
+        from repro.experiments import paper_world
+        from repro.sim import Engine, resolve_monthly_budget
+
+        world = paper_world(1, seed=7)
+        engine = Engine(world.sites, world.workload, world.mix)
+        monthly = resolve_monthly_budget(world, 0.85, hours=24, engine=engine)
+        result = engine.run(
+            "capping",
+            budgeter=world.budgeter(monthly),
+            hours=24,
+            tariff="energy+demand:rate=0.5,cycle=24",
+        )
+        over = [
+            h for h in result.hours
+            if sum(li.amount for li in h.line_items) > h.budget * (1 + 1e-9)
+        ]
+        energy_over = [
+            h for h in result.hours
+            if h.realized_cost > h.budget * (1 + 1e-9)
+        ]
+        # The demand line pushes hours over that energy alone would not.
+        assert len(over) > len(energy_over)
+        assert result.hours_over_budget == len(over)
+        assert result.summary()["hours_over_budget"] == len(over)
+        # The paper's guarantee: only flagged hours settle over budget.
+        assert all(h.step is CappingStep.PREMIUM_ONLY for h in over)
 
 
 class TestSimulationResult:
