@@ -1318,7 +1318,7 @@ class ShardedControlPlane:
             child_conn.close()
             self._procs.append(proc)
             thread = threading.Thread(
-                target=self._reader, args=(wid, parent_conn),
+                target=self._reader, args=(wid, parent_conn, proc),
                 name=f"shard-reader-{wid}", daemon=True,
             )
             thread.start()
@@ -1345,22 +1345,27 @@ class ShardedControlPlane:
             self._target_fractions = event.fractions()
         self._publish(region, event.to_dict(), wall_s, produced_mono)
 
-    def _reader(self, wid: int, conn) -> None:
+    def _reader(self, wid: int, conn, proc) -> None:
         tel = get_telemetry()
+        reported = False
         try:
             while True:
                 try:
                     msg = conn.recv()
-                except EOFError:
-                    self.coordinator.worker_gone(wid)
+                except (EOFError, OSError):  # closed, or reset by a kill
                     break
                 kind = msg[0]
                 if kind == "event":
                     _, region, event, wall_s, produced = msg
                     self._publish(region, event, wall_s, produced)
                 elif kind == "barrier":
-                    conn.send(self.coordinator.barrier(wid, msg[1]))
+                    reply = self.coordinator.barrier(wid, msg[1])
+                    try:
+                        conn.send(reply)
+                    except OSError:  # died waiting for the reply
+                        break
                 elif kind == "done":
+                    reported = True
                     _, counters, stopped = msg
                     with self._lock:
                         for name, value in counters.items():
@@ -1370,13 +1375,21 @@ class ShardedControlPlane:
                         self._stopped = self._stopped or stopped
                     if tel.enabled:
                         merge_counters(tel.registry, counters)
-                    self.coordinator.worker_gone(wid)
                 elif kind == "error":
+                    reported = True
                     with self._lock:
                         self.worker_errors[wid] = msg[1]
-                    self.coordinator.worker_gone(wid)
+            if not reported:
+                # Killed before it could say done or error (a SIGKILL,
+                # the OOM killer): its exit code is its only report.
+                proc.join(timeout=30.0)
+                with self._lock:
+                    self.worker_errors[wid] = (
+                        f"exited with code {proc.exitcode} before finishing"
+                    )
         finally:
             conn.close()
+            self.coordinator.worker_gone(wid)
             with self._lock:
                 self._workers_left -= 1
                 last = self._workers_left == 0
