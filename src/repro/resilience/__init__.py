@@ -10,7 +10,8 @@ makes those scenarios first-class:
   (:class:`FaultSpec` / :class:`HourFaults`);
 * :mod:`repro.resilience.degradation` — :class:`DegradationPolicy` and
   :func:`degraded_decision`, the no-solver dispatch policies the
-  :class:`~repro.core.BillCapper` falls back to;
+  engine's :func:`~repro.sim.engine.dispatch_with_degradation` falls
+  back to for every strategy;
 * :mod:`repro.resilience.checkpoint` — JSON persistence for
   :meth:`repro.core.Budgeter.checkpoint` snapshots.
 

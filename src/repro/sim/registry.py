@@ -12,7 +12,7 @@ adding a policy is one :func:`register_strategy` call instead of five
 Factories take no arguments and return a *fresh*
 :class:`~repro.sim.engine.DispatchStrategy` per :func:`get_strategy`
 call — strategies are stateful across the hours of one run (model
-caches, hold-last history) and must never be shared between runs.
+caches) and must never be shared between runs.
 """
 
 from __future__ import annotations

@@ -59,6 +59,13 @@ class TestCsvIo:
         with pytest.raises(ValueError, match="malformed"):
             read_trace_csv(p)
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "-1"])
+    def test_non_finite_or_negative_rate_rejected(self, tmp_path, rate):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"hour,rate_rps\n0,5\n1,{rate}\n")
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            read_trace_csv(p)
+
 
 def _history(weeks=4, seed=0):
     return wikipedia_like_trace(
