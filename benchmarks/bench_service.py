@@ -2,7 +2,7 @@
 
 Replays deterministic seeded tick storms through the service stack and
 writes ``BENCH_service.json`` at the repo root (companion of
-``BENCH_solver.json`` and ``BENCH_vectorized.json``). Tracked numbers:
+``BENCH_solver.json``). Tracked numbers:
 
 * **decisions per second** — sustained dispatch throughput of the
   in-process control plane (``repro serve`` without ``--workers``)

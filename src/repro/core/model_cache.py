@@ -194,13 +194,8 @@ class DispatchModelCache:
     hours and strategies for the same process, not across processes.
     """
 
-    #: Process-wide default for new caches. Benchmarks flip this to
-    #: time the pure branch-and-bound path without threading a flag
-    #: through every optimizer constructor.
-    default_use_enum_kernel = True
-
     def __init__(self, maxsize: int | None = None,
-                 use_enum_kernel: bool | None = None,
+                 use_enum_kernel: bool = True,
                  solver_backend: str | None = None):
         if maxsize is None:
             maxsize = int(os.environ.get("REPRO_MODEL_CACHE_SIZE", "32"))
@@ -214,11 +209,8 @@ class DispatchModelCache:
         #: Try the exact segment-enumeration kernel before the MILP
         #: (see :mod:`repro.core.enum_kernel`). It bails to the MILP
         #: whenever its assumptions don't hold; set False to force the
-        #: branch-and-bound path (benchmarks, fallback tests).
-        self.use_enum_kernel = (
-            self.default_use_enum_kernel
-            if use_enum_kernel is None else use_enum_kernel
-        )
+        #: branch-and-bound path (fallback tests, baseline comparisons).
+        self.use_enum_kernel = use_enum_kernel
         self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
 
     # -- public API -------------------------------------------------------------

@@ -299,3 +299,81 @@ class TestDemandEndToEnd:
         assert mid["ledger"]["tariff"] == DEMAND_TARIFF
         resumed = engine.resume(path, hours=GEN.ENGINE_HOURS)
         assert_identical(resumed, reference)
+
+
+class TestDemandPeakShaving:
+    """The demand-aware capper shaves the billing-cycle peak.
+
+    One 72 h cycle at a generous budget (the run's own uncapped spend),
+    so the energy-only arm dispatches essentially uncapped and its peak
+    is the workload's natural one.
+    """
+
+    HOURS = 72
+    TARIFF = "energy+demand:rate=0.5,cycle=72"
+
+    @pytest.fixture(scope="class")
+    def budget(self, world, engine):
+        anchor = engine.run("capping", hours=self.HOURS)
+        return anchor.total_cost * world.hours / self.HOURS
+
+    @pytest.fixture(scope="class")
+    def demand(self, world, engine, budget):
+        return engine.run(
+            "capping",
+            budgeter=world.budgeter(budget),
+            hours=self.HOURS,
+            tariff=self.TARIFF,
+        )
+
+    def test_demand_charge_shaves_the_cycle_peak(
+        self, world, engine, budget, demand
+    ):
+        from repro.billing import make_ledger
+
+        energy = engine.run(
+            "capping", budgeter=world.budgeter(budget), hours=self.HOURS
+        )
+        peak_energy = max(h.total_power_mw for h in energy.hours)
+        peak_demand = max(h.total_power_mw for h in demand.hours)
+        assert (peak_energy - peak_demand) / peak_energy >= 0.05
+        assert energy.summary()["premium_throughput"] == 1.0
+        assert demand.summary()["premium_throughput"] == 1.0
+
+        # The energy-only dispatch settled under the demand tariff.
+        ledger = make_ledger(self.TARIFF)
+        blind_bill = 0.0
+        for h in energy.hours:
+            ledger.accrue(h.realized_cost, h.total_power_mw)
+            blind_bill += ledger.total(ledger.settle(h.hour))
+        aware_bill = sum(h.settled_cost for h in demand.hours)
+        assert aware_bill <= blind_bill
+
+    def test_peak_term_serves_more_than_settlement_feedback(
+        self, world, engine, budget, demand
+    ):
+        """The budget feedback of settled demand charges and the
+        realized-bill re-plan shave a peak-blind dispatch too, by
+        shedding ordinary load; planning with the peak term serves
+        more of it under the same tariff and budget."""
+        from repro.sim.strategies import CappingStrategy
+
+        class PeakBlind(CappingStrategy):
+            def decide(self, ctx):
+                return self.capper.decide(
+                    ctx.site_hours,
+                    ctx.demand_premium_rps,
+                    ctx.demand_ordinary_rps,
+                    ctx.budget,
+                )
+
+        blind = engine.run(
+            PeakBlind(),
+            budgeter=world.budgeter(budget),
+            hours=self.HOURS,
+            tariff=self.TARIFF,
+        )
+        assert (
+            demand.summary()["ordinary_throughput"]
+            > blind.summary()["ordinary_throughput"]
+        )

@@ -12,11 +12,17 @@ per-hour ``coe`` override).
 
 import dataclasses
 
-from repro.core import PriceMode
+from repro.core import (
+    BillCapper,
+    CostMinimizer,
+    DispatchModelCache,
+    PriceMode,
+    ThroughputMaximizer,
+)
 from repro.datacenter import synthetic_coe_trace
 from repro.experiments.paper_setup import paper_world
 from repro.sim import Engine
-from repro.sim.strategies import MinOnlyStrategy
+from repro.sim.strategies import CappingStrategy, MinOnlyStrategy
 
 
 def run_pair(world, hours, strategy="capping", budget_fraction=None):
@@ -110,6 +116,32 @@ class TestBitIdentity:
             engine = Engine(sites, world.workload, world.mix, batched=batched)
             results.append(engine.run("capping", hours=36))
         assert_identical(*results)
+
+
+class TestDefaultPathMatchesBaseline:
+    def test_kernel_and_batched_realize_keep_the_monthly_cost(self):
+        # The default path (enumeration kernel + batched realize) against
+        # branch and bound with scalar realize. The kernel and B&B may
+        # pick different alternate optima, so the totals agree to
+        # solver tolerance rather than bit for bit.
+        world = paper_world()
+        default = Engine(world.sites, world.workload, world.mix).run(
+            "capping", hours=72
+        )
+        capper = BillCapper(
+            cost_minimizer=CostMinimizer(
+                model_cache=DispatchModelCache(use_enum_kernel=False)
+            ),
+            throughput_maximizer=ThroughputMaximizer(
+                model_cache=DispatchModelCache(use_enum_kernel=False)
+            ),
+        )
+        baseline = Engine(
+            world.sites, world.workload, world.mix, batched=False
+        ).run(CappingStrategy(capper=capper), hours=72)
+        assert abs(default.total_cost - baseline.total_cost) <= (
+            1e-9 * abs(baseline.total_cost)
+        )
 
 
 class TestFallbackWiring:
