@@ -204,8 +204,10 @@ def _print_summary(name: str, result) -> None:
 def _preflight(args: argparse.Namespace) -> int | None:
     """Check what the parser alone cannot, before any command runs.
 
-    * ``--solver-backend`` must name a registered backend. It is then
-      published via ``REPRO_SOLVER_BACKEND`` so every optimizer
+    * ``--solver-backend`` must name a registered backend with the
+      ``milp`` capability (the dispatch program has integer variables,
+      and an LP-only backend would silently solve its relaxation). It
+      is then published via ``REPRO_SOLVER_BACKEND`` so every optimizer
       constructed anywhere inside the run (strategies build their own)
       resolves it without threading a parameter through each layer.
     * Each ``--tariff`` spec (for ``sweep``, every spec of its tariff
@@ -221,9 +223,13 @@ def _preflight(args: argparse.Namespace) -> int | None:
         from .solver.registry import backend_spec
 
         try:
-            backend_spec(name)
+            spec = backend_spec(name)
         except ValueError as exc:
             print(f"error: {exc}")
+            return 2
+        if not spec.milp:
+            print(f"error: solver backend {name!r} lacks the milp "
+                  "capability; it solves LP relaxations only")
             return 2
         os.environ["REPRO_SOLVER_BACKEND"] = name
     if hasattr(args, "tariff"):

@@ -202,6 +202,14 @@ class DispatchModelCache:
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize
+        if solver_backend is not None:
+            from ..solver.registry import backend_spec
+
+            if not backend_spec(solver_backend).milp:
+                raise ValueError(
+                    f"solver backend {solver_backend!r} lacks the milp "
+                    "capability; the dispatch program has integer variables"
+                )
         #: Registered backend name each compiled entry solves with; None
         #: picks the size-adaptive default (dense simplex B&B for small
         #: fleets, revised simplex above the tableau cell budget).

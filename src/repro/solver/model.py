@@ -537,8 +537,7 @@ class Model:
             )
         return result
 
-    @staticmethod
-    def _resolve_backend(backend, **kwargs):
+    def _resolve_backend(self, backend, **kwargs):
         if backend is None:
             from .scipy_backend import ScipyBackend
 
@@ -555,6 +554,12 @@ class Model:
                     f"backend {backend!r} operates on dispatch problems, "
                     "not compiled standard forms; pass it to the "
                     "repro.core optimizers instead"
+                )
+            if not spec.milp and self.num_integer_vars:
+                raise ModelingError(
+                    f"backend {backend!r} lacks the milp capability (it "
+                    f"solves LP relaxations only); model {self.name!r} has "
+                    f"{self.num_integer_vars} integer variables"
                 )
             return spec.make(**kwargs)
         if hasattr(backend, "solve"):

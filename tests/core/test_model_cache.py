@@ -289,6 +289,10 @@ class TestCacheConfig:
         ref = CostMinimizer(backend="scipy").solve(hours, lam)
         assert got.predicted_cost == pytest.approx(ref.predicted_cost, rel=1e-8)
 
+    def test_lp_only_backend_refused(self):
+        with pytest.raises(ValueError, match="lacks the milp capability"):
+            DispatchModelCache(solver_backend="scipy-lp")
+
     def test_optimizer_solver_backend_reaches_cache(self):
         hot = CostMinimizer(solver_backend="simplex")
         hours = hours_at(0)

@@ -104,6 +104,26 @@ class TestErrors:
         with pytest.raises(ModelingError, match="dispatch problems"):
             m.solve(backend="decomposition", raise_on_failure=True)
 
+    def test_lp_only_backend_rejected_by_name_for_integer_model(self):
+        from repro.solver import ModelingError, ScipyLpBackend
+
+        m = Model("t")
+        x = m.integer("x", ub=2.5)
+        m.maximize(x)
+        with pytest.raises(ModelingError, match="lacks the milp capability"):
+            m.solve(backend="scipy-lp")
+        # A backend object is the caller's explicit choice: it still
+        # solves the relaxation.
+        res = m.solve(backend=ScipyLpBackend(), raise_on_failure=True)
+        assert res.objective == pytest.approx(2.5)
+
+    def test_lp_only_backend_by_name_solves_an_lp(self):
+        m = Model("t")
+        x = m.var("x", ub=2.5)
+        m.maximize(x)
+        res = m.solve(backend="scipy-lp", raise_on_failure=True)
+        assert res.objective == pytest.approx(2.5)
+
     def test_unknown_name_via_model_solve(self):
         from repro.solver import ModelingError
 

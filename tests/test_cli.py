@@ -506,6 +506,18 @@ class TestSolversCommand:
         ) == 2
         assert "unknown solver backend" in capsys.readouterr().out
 
+    def test_run_rejects_lp_only_backend(self, capsys, monkeypatch):
+        import os
+
+        # scipy-lp ignores integrality: accepting it would solve every
+        # dispatch MILP the kernel bails on as its LP relaxation.
+        monkeypatch.delenv("REPRO_SOLVER_BACKEND", raising=False)
+        assert main(
+            ["run", "--hours", "2", "--solver-backend", "scipy-lp"]
+        ) == 2
+        assert "lacks the milp capability" in capsys.readouterr().out
+        assert "REPRO_SOLVER_BACKEND" not in os.environ
+
     def test_study_rejects_unknown_backend(self, capsys):
         assert main(
             ["study", "--seeds", "1", "--hours", "2", "--solver-backend", "nope"]
