@@ -98,6 +98,9 @@ class JsonHttpServer:
         self.port = port
         self._server: asyncio.AbstractServer | None = None
         self._tasks: set[asyncio.Task] = set()
+        #: Connection handlers started so far; :meth:`stop` waits for it
+        #: to settle before closing the listener.
+        self._handlers_started = 0
 
     async def start(self) -> None:
         if self._server is not None:  # idempotent: callers may pre-bind
@@ -110,6 +113,19 @@ class JsonHttpServer:
     async def stop(self) -> None:
         if self._server is None:
             return
+        # A connection the loop has accepted but not yet attached would
+        # fail asyncio's attach once the server is closed, leaving its
+        # client with no response and no EOF. Stop accepting, then let
+        # those in flight start their handlers before closing.
+        loop = asyncio.get_running_loop()
+        for sock in self._server.sockets:
+            loop.remove_reader(sock.fileno())
+        started = None
+        while started != self._handlers_started:
+            started = self._handlers_started
+            # Attach, connection_made, handler start: one loop pass each.
+            for _ in range(3):
+                await asyncio.sleep(0)
         self._server.close()
         # Kick persistent connections (keep-alive idlers, SSE streams):
         # without this, wait_closed-style shutdown would hang on them.
@@ -125,6 +141,7 @@ class JsonHttpServer:
     async def _handle(self, reader, writer) -> None:
         task = asyncio.current_task()
         self._tasks.add(task)
+        self._handlers_started += 1
         try:
             for _ in range(_MAX_KEEPALIVE_REQUESTS):
                 if not await self._one_request(reader, writer):

@@ -8,6 +8,8 @@ disconnects) are exactly what these tests pin, so no client library.
 
 import asyncio
 import json
+import socket
+import threading
 
 from repro.service import JsonHttpServer, StreamResponse
 
@@ -268,3 +270,60 @@ class TestStreaming:
                 await server.stop()
 
         asyncio.run(run())
+
+
+class TestStopRace:
+    def test_get_racing_stop_gets_a_response_or_eof(self):
+        """A GET whose connection is accepted in the same loop pass
+        that wakes ``stop()`` must not hang.
+
+        The loop blocks until a client thread has connected, sent and
+        scheduled the wake-up, so the accept and the wake-up land in
+        one selector pass and ``stop()`` runs before the accepted
+        connection attaches. Closing the server at that point fails the
+        attach, and the client gets no response and no EOF.
+        """
+
+        def client(port, sent, queued, outcome):
+            with socket.create_connection(("127.0.0.1", port)) as sock:
+                sock.sendall(b"GET /ping HTTP/1.1\r\n\r\n")
+                sent()
+                queued.set()
+                sock.settimeout(2.0)  # the read deadline
+                try:
+                    outcome.append(sock.recv(65536))
+                except socket.timeout:
+                    outcome.append(None)
+                except OSError as exc:
+                    outcome.append(exc)
+
+        async def trial():
+            server = await _start(_routes())
+            loop = asyncio.get_running_loop()
+            sent = loop.create_future()
+            queued = threading.Event()
+            outcome = []
+            thread = threading.Thread(
+                target=client,
+                args=(
+                    server.port,
+                    lambda: loop.call_soon_threadsafe(sent.set_result, None),
+                    queued,
+                    outcome,
+                ),
+            )
+            thread.start()
+            try:
+                assert queued.wait(timeout=5.0)  # blocks the loop on purpose
+                await sent
+                await server.stop()
+            finally:
+                await asyncio.to_thread(thread.join, 10.0)
+            assert not thread.is_alive()
+            return outcome[0]
+
+        for i in range(20):
+            data = asyncio.run(trial())
+            assert data is not None, f"trial {i}: no response and no EOF"
+            assert isinstance(data, bytes), f"trial {i}: {data!r}"
+            assert data == b"" or data.startswith(b"HTTP/1.1 "), data
