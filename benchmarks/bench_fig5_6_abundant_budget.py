@@ -11,7 +11,12 @@ import numpy as np
 from repro.experiments import PAPER_BUDGET_LEVELS
 from repro.workload import HOURS_PER_WEEK
 
-from conftest import BENCH_HOURS, monthly_budget_from, run_once
+from conftest import (
+    BENCH_HOURS,
+    first_week_start,
+    monthly_budget_from,
+    run_once,
+)
 
 from _report import report, table
 
@@ -64,10 +69,9 @@ def test_fig5_6_abundant_budget(benchmark, world, engine, uncapped):
     # Carryover makes the weekly budget staircase grow: within each full
     # calendar week the mean budget of the last two days exceeds the
     # mean of the first two.
-    offset = (HOURS_PER_WEEK - world.workload.start_weekday * 24) % HOURS_PER_WEEK
     budgets = capped.hourly_budgets
     checked = 0
-    start = offset
+    start = first_week_start(world)
     while start + HOURS_PER_WEEK <= BENCH_HOURS:
         week = budgets[start : start + HOURS_PER_WEEK]
         assert week[-48:].mean() > week[:48].mean()

@@ -7,7 +7,10 @@ once per pytest session and shared by all benchmark files.
 ``BENCH_HOURS`` trades fidelity for wall-clock: the default 360 hours
 (15 days) preserves every qualitative feature (two full weeks plus
 change for the budgeter's weekly structure); set the environment
-variable ``REPRO_BENCH_HOURS=720`` for the full month.
+variable ``REPRO_BENCH_HOURS=720`` for the full month. The horizon must
+hold the first full calendar week after the world's start (264 hours
+for the paper world, which starts on a Thursday); a shorter one stops
+the session before any benchmark runs.
 """
 
 from __future__ import annotations
@@ -18,9 +21,32 @@ import pytest
 
 from repro.experiments import paper_world
 from repro.sim import Engine
+from repro.workload import HOURS_PER_WEEK
 
 #: Simulated horizon per strategy run (hours).
 BENCH_HOURS = int(os.environ.get("REPRO_BENCH_HOURS", "360"))
+
+
+def first_week_start(world) -> int:
+    """Hour at which the world's first full calendar week begins."""
+    return (HOURS_PER_WEEK - world.workload.start_weekday * 24) % HOURS_PER_WEEK
+
+
+@pytest.fixture(scope="session", autouse=True)
+def bench_horizon(world):
+    """Stop the session when ``BENCH_HOURS`` misses the first full week.
+
+    The weekly budget structure (Figures 5/6) needs one whole calendar
+    week, and over shorter horizons the early hours' budgets outweigh
+    the pro-rata month share the figures divide by.
+    """
+    floor = first_week_start(world) + HOURS_PER_WEEK
+    if BENCH_HOURS < floor:
+        pytest.exit(
+            f"REPRO_BENCH_HOURS={BENCH_HOURS} is below the {floor} h floor "
+            "(the first full calendar week after the world's start)",
+            returncode=2,
+        )
 
 
 @pytest.fixture(scope="session", autouse=True)
