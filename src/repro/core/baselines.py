@@ -163,8 +163,8 @@ class MinOnlyDispatcher:
         """Hot path: patch the compiled baseline LP instead of rebuilding.
 
         Same LP, same result (the equivalence is pinned by tests); the
-        modeling layer is skipped and consecutive hours warm-start each
-        other's simplex basis.
+        modeling layer is skipped, and each hour's LP is solved from its
+        own inputs alone.
         """
         from .dispatch_model import RATE_SCALE
         from .model_cache import MinOnlyCache

@@ -18,14 +18,15 @@ piecewise segment count, cap presence, prices), so any change of
 network shape is automatically a miss that rebuilds from scratch;
 an LRU bound keeps alternating patterns from growing the cache.
 
-Each entry also owns a warm-started branch-and-bound solver over the
-pure-NumPy simplex: consecutive hours share the root LP basis and seed
-each other's incumbents (see :mod:`repro.solver.simplex`), which is
-where most of the measured speedup comes from. Any limit/error outcome
-falls back to the SciPy/HiGHS backend on the exact same arrays, so the
-hot path can never be *less* reliable than the cold one. Equivalence of
-the patched arrays with a fresh compile, and of hot results with cold
-SciPy solves, is pinned by ``tests/core/test_model_cache.py``.
+Each entry also owns a branch-and-bound solver over the pure-NumPy
+simplex, whose child nodes re-solve from their parent's basis (see
+:mod:`repro.solver.simplex`). No basis or incumbent carries from one
+hour to the next, so a resumed run solves every hour exactly as an
+uninterrupted one did. Any limit/error outcome falls back to the
+SciPy/HiGHS backend on the exact same arrays, so the hot path can never
+be *less* reliable than the cold one. Equivalence of the patched arrays
+with a fresh compile, and of hot results with cold SciPy solves, is
+pinned by ``tests/core/test_model_cache.py``.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ class _Entry:
     __slots__ = (
         "dm", "base", "sense_max", "slots", "patch",
         "serve_all_row", "demand_row", "budget_row", "peak_row",
-        "solver", "last_x", "warm",
+        "solver",
     )
 
     def __init__(self, dm: DispatchModel, base: StandardForm, sense_max: bool,
@@ -158,31 +159,25 @@ class _Entry:
         self.demand_row = demand_row
         self.budget_row = budget_row
         self.peak_row = peak_row
-        # Warm-started solves carry process history (the previous hour's
-        # incumbent and root basis) that a checkpoint cannot, so a
-        # resumed run would branch-and-bound through a different node
-        # order and land on ULP-different optima. Energy-only entries
-        # never notice — their hot path is the stateless enumeration
-        # kernel — but peak-row (demand charge) structures always reach
-        # the MILP, so they must solve cold to keep kill/resume and
-        # restart byte-identical to an uninterrupted run.
-        self.warm = peak_row is None
-        # Private engine so its structure cache and root warm basis are
-        # never thrashed by other problems; incumbents carry over hours.
-        # The LP engine is picked by problem size: dense tableau for
-        # small fleets, the sparse-pricing revised simplex once the
-        # tableau would not fit the cell budget.
+        # Private engine so its structure cache is never thrashed by
+        # other problems. The LP engine is picked by problem size: dense
+        # tableau for small fleets, the sparse-pricing revised simplex
+        # once the tableau would not fit the cell budget.
         if solver_backend is None:
             n_rows = base.A_ub.shape[0] + base.A_eq.shape[0]
             self.solver = BranchBoundSolver(
                 lp_solver=lp_solver_for_size(base.c.size, n_rows),
-                warm_start=self.warm,
+                # Peak-row (demand charge) entries solve every node LP
+                # cold. Warm node re-solves move their optima by ULPs,
+                # and the pinned demand-tariff serve log
+                # (tests/fixtures/service_v2) was written by retired
+                # code, so it cannot be re-pinned to the moved bits.
+                warm_start=peak_row is None,
             )
         else:
             from ..solver.registry import get_backend
 
             self.solver = get_backend(solver_backend)
-        self.last_x: np.ndarray | None = None
 
 
 class DispatchModelCache:
@@ -205,10 +200,17 @@ class DispatchModelCache:
         if solver_backend is not None:
             from ..solver.registry import backend_spec
 
-            if not backend_spec(solver_backend).milp:
+            spec = backend_spec(solver_backend)
+            if not spec.milp:
                 raise ValueError(
                     f"solver backend {solver_backend!r} lacks the milp "
                     "capability; the dispatch program has integer variables"
+                )
+            if spec.dispatch:
+                raise ValueError(
+                    f"solver backend {solver_backend!r} has the dispatch "
+                    "capability; it solves site hours, not the compiled "
+                    "standard forms this cache holds"
                 )
         #: Registered backend name each compiled entry solves with; None
         #: picks the size-adaptive default (dense simplex B&B for small
@@ -243,7 +245,6 @@ class DispatchModelCache:
                 step_margin_frac,
             )
             if res is not None:
-                entry.last_x = res.x
                 return self._rebound(entry, site_hours), res
         sf = self._patched(entry, site_hours, step_margin_frac)
         sf.b_eq[entry.serve_all_row] = total_rate_rps / RATE_SCALE
@@ -286,7 +287,6 @@ class DispatchModelCache:
                 step_margin_frac, cost_tiebreak_weight,
             )
             if res is not None:
-                entry.last_x = res.x
                 return self._rebound(entry, site_hours), res
         sf = self._patched(entry, site_hours, step_margin_frac)
         sf.b_ub[entry.demand_row] = offered_rate_rps / RATE_SCALE
@@ -527,12 +527,7 @@ class DispatchModelCache:
     # -- solving ----------------------------------------------------------------
 
     def _solve(self, entry: _Entry, sf: StandardForm, name: str) -> SolveResult:
-        if isinstance(entry.solver, BranchBoundSolver):
-            res = entry.solver.solve(sf, warm_x=entry.last_x)
-        else:
-            # Registry backends expose the plain solve(StandardForm)
-            # protocol; warm incumbents are a B&B-only concept.
-            res = entry.solver.solve(sf)
+        res = entry.solver.solve(sf)
         if not res.ok and res.status not in (
             SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED
         ):
@@ -545,8 +540,6 @@ class DispatchModelCache:
 
             res = ScipyBackend().solve(sf)
         if res.ok:
-            if entry.warm:
-                entry.last_x = res.x
             value = res.objective + sf.obj_constant
             if entry.sense_max:
                 value = -value
@@ -581,7 +574,7 @@ class MinOnlyCache:
     the site list and which sites have finite power caps; prices (in
     ``CURRENT`` mode), believed rate limits and the offered load vary
     per hour and are patched into the objective, bounds and right-hand
-    sides. Consecutive hours warm-start each other's simplex basis.
+    sides. Each hour's LP is solved cold, from its own inputs alone.
     """
 
     def __init__(self, lp_solver=None):
@@ -601,7 +594,6 @@ class MinOnlyCache:
         #: None picks per-structure via lp_solver_for_size at compile.
         self._solver = lp_solver
         self._auto_solver = lp_solver is None
-        self._warm = None
 
     def solve(
         self,
@@ -648,10 +640,7 @@ class MinOnlyCache:
                 sf.b_ub[self._cap_rows[i]] = sh.power_cap_mw
         sf.b_eq[0] = total_rate_rps / RATE_SCALE
 
-        res, warm = self._solver.solve_warm(sf, warm=self._warm)
-        if warm is not None:
-            warm.pin = True  # held across hours; never consume in place
-            self._warm = warm
+        res = self._solver.solve(sf)
         if not res.ok and res.status not in (
             SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED
         ):
@@ -698,4 +687,3 @@ class MinOnlyCache:
         self._key = key
         if self._auto_solver:
             self._solver = lp_solver_for_size(n, len(rows) + 1)
-        self._warm = None  # structure changed: stale basis is useless

@@ -68,12 +68,14 @@ compress_steps = _compress_steps
 # -- grid registry -----------------------------------------------------------
 
 _GRID_FACTORIES: dict[str, Callable[[], Grid]] = {}
+_BUILTINS_LOADED = False
 
 
 def register_grid(
     name: str, factory: Callable[[], Grid], *, replace: bool = False
 ) -> None:
     """Register a named grid factory for CLI/sweep resolution."""
+    _ensure_builtins()
     if not replace and name in _GRID_FACTORIES:
         raise ValueError(f"grid {name!r} already registered")
     if not callable(factory):
@@ -82,8 +84,11 @@ def register_grid(
 
 
 def _ensure_builtins() -> None:
-    if _GRID_FACTORIES:
+    """Register the built-in grids exactly once, lazily."""
+    global _BUILTINS_LOADED
+    if _BUILTINS_LOADED:
         return
+    _BUILTINS_LOADED = True
     from .grids import ieee9_like, two_zone
     from .pjm5bus import pjm5bus
 

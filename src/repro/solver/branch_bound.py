@@ -21,6 +21,9 @@ Design
   :class:`~repro.solver.scipy_backend.ScipyLpBackend`, and the pure
   NumPy :class:`~repro.solver.simplex.SimplexSolver` is supported for a
   fully self-contained stack.
+* **Stateless across solves**: warm starts live inside one search tree
+  only, so an hour's dispatch is the same whether or not earlier hours
+  ran in this process (kill/resume).
 """
 
 from __future__ import annotations
@@ -44,13 +47,12 @@ __all__ = ["BranchBoundSolver"]
 class _BBStats:
     """Per-solve accounting threaded through the search loop."""
 
-    __slots__ = ("enabled", "incumbents", "lp_time_s", "seeded", "warm_nodes")
+    __slots__ = ("enabled", "incumbents", "lp_time_s", "warm_nodes")
 
     def __init__(self, enabled: bool):
         self.enabled = enabled
         self.incumbents = 0
         self.lp_time_s = 0.0
-        self.seeded = 0
         self.warm_nodes = 0
 
 
@@ -94,11 +96,11 @@ class BranchBoundSolver:
     warm_start:
         When the LP engine supports basis reuse (``solve_warm``, as
         :class:`~repro.solver.simplex.SimplexSolver` does), re-solve
-        each node LP from its parent's optimal basis with dual simplex
-        pivots instead of a cold two-phase solve, and remember the root
-        basis across ``solve`` calls so consecutive hourly dispatches
-        warm-start each other. Results are engine-identical; this only
-        changes how the node LPs are solved.
+        each child node's LP from its parent's optimal basis with dual
+        simplex pivots instead of a cold two-phase solve. This acts
+        inside one ``solve`` only; the root LP is always solved cold.
+        The optimum is the same up to floating-point rounding; this
+        only changes how the node LPs are solved.
     """
 
     name = "branch-bound"
@@ -124,29 +126,21 @@ class BranchBoundSolver:
         self.cover_cuts = cover_cuts
         self.cut_rounds = cut_rounds
         self.warm_start = warm_start
-        self._root_warm = None  # last root basis, reused across solves
 
     # -- public API --------------------------------------------------------------
 
-    def solve(self, sf: StandardForm, warm_x: np.ndarray | None = None) -> SolveResult:
-        """Solve ``sf``; ``warm_x`` optionally seeds the incumbent.
-
-        ``warm_x`` is a full solution vector from a structurally
-        identical previous solve (e.g. last hour's dispatch). Its
-        integer pattern is fixed and completed with one LP; when
-        feasible, the completion becomes the starting incumbent, which
-        tightens pruning from the first node. Optimality is unaffected.
-        """
+    def solve(self, sf: StandardForm) -> SolveResult:
+        """Solve ``sf`` from scratch; no state carries between calls."""
         if not sf.has_integers:
             res = self.lp.solve(sf)
             res.backend = f"{self.name}({self.lp.name})"
             return res
         tel = get_telemetry()
         if not tel.enabled:
-            return self._solve_milp(sf, _NO_STATS, warm_x)
+            return self._solve_milp(sf, _NO_STATS)
         stats = _BBStats(enabled=True)
         t0 = time.perf_counter()
-        res = self._solve_milp(sf, stats, warm_x)
+        res = self._solve_milp(sf, stats)
         record_solver_result(
             tel, "branch-bound", res.status.value, res.iterations,
             time.perf_counter() - t0,
@@ -154,15 +148,12 @@ class BranchBoundSolver:
         tel.histogram("solver.branch-bound.nodes").observe(res.iterations)
         tel.histogram("solver.branch-bound.lp_time_s").observe(stats.lp_time_s)
         tel.counter("solver.branch-bound.incumbent_updates").inc(stats.incumbents)
-        tel.counter("solver.branch-bound.seeded_incumbents").inc(stats.seeded)
         tel.counter("solver.branch-bound.warm_nodes").inc(stats.warm_nodes)
         if res.ok:
             tel.histogram("solver.branch-bound.gap").observe(res.gap)
         return res
 
-    def _solve_milp(
-        self, sf: StandardForm, stats: _BBStats, warm_x: np.ndarray | None = None
-    ) -> SolveResult:
+    def _solve_milp(self, sf: StandardForm, stats: _BBStats) -> SolveResult:
         if self.cover_cuts:
             sf = self._tighten_root(sf)
 
@@ -172,11 +163,6 @@ class BranchBoundSolver:
         root = _Node(bound=-math.inf, depth=0, tie=next(tie))
         root.lb = sf.lb.copy()
         root.ub = sf.ub.copy()
-        if use_warm:
-            # Consecutive solves of the same network shape (the hourly
-            # dispatch loop) warm-start each other's root; solve_warm
-            # validates compatibility and falls back to cold otherwise.
-            root.warm = self._root_warm
         heap: list[_Node] = [root]
 
         incumbent_x: np.ndarray | None = None
@@ -184,13 +170,6 @@ class BranchBoundSolver:
         best_bound = -math.inf
         nodes = 0
         limit_dropped = 0  # subtrees dropped on a non-INFEASIBLE LP failure
-
-        if warm_x is not None and int_idx.size and warm_x.shape == sf.lb.shape:
-            seeded = self._seed_incumbent(sf, warm_x, int_idx)
-            if seeded is not None:
-                incumbent_obj, incumbent_x = seeded
-                stats.incumbents += 1
-                stats.seeded += 1
 
         while heap:
             node = heapq.heappop(heap)
@@ -221,12 +200,6 @@ class BranchBoundSolver:
                 warm_out = None
             if stats.enabled:
                 stats.lp_time_s += time.perf_counter() - t_lp
-            if use_warm and node.depth == 0:
-                self._root_warm = warm_out
-                if warm_out is not None:
-                    # The root basis is reused by the next solve; never
-                    # let a child consume its tableau in place.
-                    warm_out.pin = True
             if res.status is SolveStatus.UNBOUNDED and node.depth == 0:
                 return SolveResult(
                     status=SolveStatus.UNBOUNDED, iterations=nodes, backend=self.name
@@ -285,31 +258,6 @@ class BranchBoundSolver:
         return self._finish(SolveStatus.OPTIMAL, incumbent_obj, incumbent_x, nodes, best_bound)
 
     # -- helpers ------------------------------------------------------------------
-
-    def _seed_incumbent(self, sf: StandardForm, warm_x: np.ndarray, int_idx: np.ndarray):
-        """Fix ``warm_x``'s integer pattern, complete with one LP.
-
-        Returns ``(objective, x)`` of a feasible integral solution, or
-        ``None`` when last hour's pattern is no longer feasible.
-        """
-        vals = np.round(np.clip(warm_x[int_idx], sf.lb[int_idx], sf.ub[int_idx]))
-        vals = np.clip(vals, sf.lb[int_idx], sf.ub[int_idx])
-        lb = sf.lb.copy()
-        ub = sf.ub.copy()
-        lb[int_idx] = vals
-        ub[int_idx] = vals
-        fixed = replace(sf, lb=lb, ub=ub)
-        if self.warm_start and self._root_warm is not None:
-            # Fixing integer bounds is a bounds-only change from last
-            # hour's root, so its (pinned, never consumed) basis makes a
-            # dual-feasible start; solve_warm falls back to cold when the
-            # structure no longer matches.
-            res, _ = self.lp.solve_warm(fixed, warm=self._root_warm)
-        else:
-            res = self.lp.solve(fixed)
-        if not res.ok:
-            return None
-        return float(res.objective), self._round_integers(res.x, int_idx)
 
     def _tighten_root(self, sf: StandardForm) -> StandardForm:
         """Root-node cover-cut rounds: separate, append, re-solve.

@@ -16,8 +16,10 @@ they are getting before they depend on it:
 ``milp``
     Solves mixed-integer programs (otherwise LP relaxations only).
 ``warm_start``
-    Supports ``solve_warm`` basis reuse across structurally similar
-    solves (the hourly hot path).
+    Re-solves branch-and-bound child nodes from their parent's basis
+    (``solve_warm``) inside one solve. Only the decomposition backend
+    carries state across solves: it brackets each hour's multiplier
+    search around the last hour's.
 ``sparse``
     Prices columns sparsely / factorizes the basis instead of carrying
     a dense tableau — the large-fleet engines.

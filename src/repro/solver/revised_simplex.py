@@ -82,14 +82,13 @@ class RevisedWarmBasis:
     Unlike the tableau engine's :class:`~repro.solver.simplex.WarmBasis`
     there is no tableau to carry — re-entry refactorizes ``B^{-1}`` from
     the column indices, so the token is a few kilobytes and never
-    mutated in place. ``refs``/``pin`` exist for the branch-and-bound
-    bookkeeping protocol and are otherwise inert.
+    mutated in place. ``refs`` exists for the branch-and-bound
+    bookkeeping protocol and is otherwise inert.
     """
 
     structure: _Structure = field(repr=False)
     basis: np.ndarray = field(repr=False)
     refs: int = 0
-    pin: bool = False
 
 
 @dataclass

@@ -107,18 +107,17 @@ class WarmBasis:
     solver validates compatibility itself and silently falls back to a
     cold solve, so callers can hand back stale tokens freely.
 
-    ``refs``/``pin`` let a caller opt into move semantics: when no other
-    outstanding reference exists (``refs == 0``) and the token is not
-    pinned, the solver mutates the stored tableau in place instead of
-    copying it (branch and bound hands each parent tableau to exactly
-    one surviving child most of the time).
+    ``refs`` lets a caller opt into move semantics: when no other
+    outstanding reference exists (``refs == 0``), the solver mutates
+    the stored tableau in place instead of copying it (branch and bound
+    hands each parent tableau to exactly one surviving child most of
+    the time).
     """
 
     structure: _Structure = field(repr=False)
     T: np.ndarray = field(repr=False)  # (m, col_count + m + 1), canonical
     basis: np.ndarray = field(repr=False)
     refs: int = 0
-    pin: bool = False
 
 
 @dataclass
@@ -205,10 +204,10 @@ class SimplexSolver:
 
         ``warm`` is a token from a previous ``solve_warm`` on a
         structurally similar LP (e.g. the parent node in branch and
-        bound, or last hour's dispatch). When compatible, the previous
-        optimal basis is refreshed with the new right-hand side and
-        re-optimized with dual simplex pivots — usually a handful —
-        instead of a cold two-phase solve. Incompatible or numerically
+        bound). When compatible, the previous optimal basis is
+        refreshed with the new right-hand side and re-optimized with
+        dual simplex pivots — usually a handful — instead of a cold
+        two-phase solve. Incompatible or numerically
         degraded warm data falls back to a cold solve automatically;
         results are identical either way (verified by the equivalence
         test suite).
@@ -522,9 +521,10 @@ class SimplexSolver:
         * same structure object (branch-and-bound nodes): the parent's
           final tableau is reused directly — only the RHS column is
           refreshed via ``B^{-1} b`` read off the identity block;
-        * same dimensions but re-expanded coefficients (consecutive
-          dispatch hours): the basis is refactorized against the new
-          ``A`` with one dense solve.
+        * same dimensions but re-expanded coefficients (a caller's
+          token from an LP whose coefficients have since moved): the
+          basis is refactorized against the new ``A`` with one dense
+          solve.
 
         Then: primal-feasible ⇒ phase-2 pivots; dual-feasible ⇒ dual
         simplex; neither ⇒ cold. A residual check guards against
@@ -535,7 +535,7 @@ class SimplexSolver:
             return None
         identity_tier = warm.structure is st
         if identity_tier:
-            if warm.refs <= 0 and not warm.pin:
+            if warm.refs <= 0:
                 T, basis = warm.T, warm.basis  # move: last user of this token
             else:
                 T, basis = warm.T.copy(), warm.basis.copy()

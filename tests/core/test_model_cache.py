@@ -245,7 +245,6 @@ class TestCacheBookkeeping:
             hot.model_cache.use_enum_kernel = False
             (entry,) = hot.model_cache._entries.values()
             entry.solver.max_nodes = 0
-            entry.last_x = None
             d_hot = hot.solve(hours, lam)
             assert d_hot.predicted_cost == pytest.approx(
                 cold.solve(hours, lam).predicted_cost, rel=1e-8
@@ -292,6 +291,12 @@ class TestCacheConfig:
     def test_lp_only_backend_refused(self):
         with pytest.raises(ValueError, match="lacks the milp capability"):
             DispatchModelCache(solver_backend="scipy-lp")
+
+    def test_dispatch_level_backend_refused(self):
+        # It solves site hours, not the compiled arrays an entry holds,
+        # so the first MILP solve would fail; refuse it up front.
+        with pytest.raises(ValueError, match="dispatch capability"):
+            DispatchModelCache(solver_backend="decomposition")
 
     def test_optimizer_solver_backend_reaches_cache(self):
         hot = CostMinimizer(solver_backend="simplex")

@@ -11,6 +11,7 @@ background demand.
 import numpy as np
 import pytest
 
+from repro.powermarket import closedloop
 from repro.powermarket.closedloop import (
     ClosedLoopConfig,
     EndogenousPricer,
@@ -54,6 +55,20 @@ class TestGridRegistry:
         with pytest.raises(ValueError, match="already registered"):
             register_grid("test-tz", two_zone)
         register_grid("test-tz", two_zone, replace=True)
+
+    def test_early_registration_keeps_the_builtins(self, monkeypatch):
+        # The registry as a fresh import leaves it: nothing loaded yet.
+        monkeypatch.setattr(closedloop, "_GRID_FACTORIES", {})
+        monkeypatch.setattr(
+            closedloop, "_BUILTINS_LOADED", False, raising=False
+        )
+        register_grid("custom", two_zone)
+        assert {"custom", "pjm5bus", "two-zone", "ieee9"} <= set(
+            available_grids()
+        )
+        assert len(get_grid("pjm5bus").buses) == 5
+        with pytest.raises(ValueError, match="already registered"):
+            register_grid("pjm5bus", two_zone)
 
     def test_register_rejects_non_callable(self):
         with pytest.raises(TypeError):

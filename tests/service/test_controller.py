@@ -17,6 +17,8 @@ from repro.service import (
 from repro.sim import resolve_monthly_budget
 from repro.sim.engine import Engine
 
+from ..sim.test_resume import kernel_off_capper
+
 HOUR = 3600.0
 
 
@@ -269,6 +271,48 @@ class TestStateRoundTrip:
         # The boundary tick replays on resume and re-emits its events,
         # so head (pre-boundary) + replayed (boundary onward) is the
         # exact uninterrupted stream.
+        replayed = [
+            e.to_json() for t in ticks[boundary:] for e in resumed.on_tick(t)
+        ]
+        resumed.finish()
+        assert head + replayed == reference
+
+    @pytest.mark.parametrize("cut_hour", [1, 2])
+    def test_branch_and_bound_loop_resumes_identically(
+        self, world, engine, cut_hour
+    ):
+        """Every dispatch goes through branch and bound, which carries no
+        solver state across hours, so a fresh capper resumes exactly."""
+        hours = 4
+        ticks = replay_ticks(
+            world.workload, ticks_per_hour=6, hours=hours, jitter=0.1, seed=4
+        )
+        budget = resolve_monthly_budget(world, 0.8, hours=hours, engine=engine)
+
+        def loop(budgeter):
+            return ControlLoop(
+                engine,
+                kernel_off_capper(),
+                trigger=TriggerPolicy(),
+                budgeter=budgeter,
+                hours=hours,
+            )
+
+        full = loop(world.budgeter(budget))
+        reference = [e.to_json() for e in run_serial(full, ticks)]
+        full.finish()
+
+        first = loop(world.budgeter(budget))
+        boundary = next(
+            i for i, t in enumerate(ticks) if t.time_s >= cut_hour * HOUR
+        )
+        head = [e.to_json() for t in ticks[:boundary] for e in first.on_tick(t)]
+        first.settle_open_hour()
+        state = first.state_dict()
+        assert state["settled_hours"] == cut_hour
+
+        resumed = loop(first.state.budgeter)
+        resumed.load_state(state)
         replayed = [
             e.to_json() for t in ticks[boundary:] for e in resumed.on_tick(t)
         ]

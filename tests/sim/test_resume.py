@@ -10,10 +10,13 @@ import json
 
 import pytest
 
-from repro.experiments import paper_world
+from repro.core import BillCapper, CostMinimizer, ThroughputMaximizer
+from repro.core.model_cache import DispatchModelCache
+from repro.experiments import paper_world, scaled_paper_world
 from repro.resilience import DegradationPolicy, FaultInjector, FaultSpec
 from repro.sim import Engine
 from repro.sim.engine import CHECKPOINT_VERSION
+from repro.sim.strategies import CappingStrategy
 
 HOURS = 12
 
@@ -42,6 +45,24 @@ def monthly(world, engine):
     return anchor.total_cost * world.hours / HOURS * 0.8
 
 
+def kernel_off_capper():
+    """A capper whose every dispatch goes through branch and bound.
+
+    The enumeration kernel keeps no state; switching it off exercises
+    the MILP path that the kernel bails to on large fleets.
+    """
+    return CappingStrategy(
+        capper=BillCapper(
+            cost_minimizer=CostMinimizer(
+                model_cache=DispatchModelCache(use_enum_kernel=False)
+            ),
+            throughput_maximizer=ThroughputMaximizer(
+                model_cache=DispatchModelCache(use_enum_kernel=False)
+            ),
+        )
+    )
+
+
 def assert_identical(resumed, reference):
     assert resumed.name == reference.name
     assert len(resumed.hours) == len(reference.hours)
@@ -65,6 +86,26 @@ class TestResumeBitIdentity:
         )
         # The stored horizon is the killed run's; extend it on resume.
         resumed = engine.resume(path, hours=HOURS)
+        assert_identical(resumed, reference)
+
+    @pytest.mark.parametrize("kill_at", [1, 5, HOURS - 1])
+    def test_branch_and_bound_run_resumes_identically(
+        self, world, engine, tmp_path, kill_at
+    ):
+        """Each hour's MILP is solved from that hour's inputs alone, so a
+        resumed solver with no history lands where the original did."""
+        budget = monthly(world, engine)
+        reference = engine.run(
+            kernel_off_capper(), budgeter=world.budgeter(budget), hours=HOURS
+        )
+        path = tmp_path / "bb.json"
+        engine.run(
+            kernel_off_capper(),
+            budgeter=world.budgeter(budget),
+            hours=kill_at,
+            checkpoint_path=path,
+        )
+        resumed = engine.resume(path, strategy=kernel_off_capper(), hours=HOURS)
         assert_identical(resumed, reference)
 
     @pytest.mark.parametrize("kill_at", [3, 7])
@@ -98,6 +139,17 @@ class TestResumeBitIdentity:
         path = tmp_path / "minonly.json"
         engine.run("min-only-avg", hours=4, checkpoint_path=path)
         resumed = engine.resume(path, hours=8)
+        assert_identical(resumed, reference)
+
+    def test_min_only_lp_resumes_identically_at_13_sites(self, tmp_path):
+        """The Min-Only LP keeps no basis across hours. On this fleet a
+        carried basis moved the resumed hours' optima by ULPs."""
+        world = scaled_paper_world(13)
+        engine = Engine(world.sites, world.workload, world.mix)
+        reference = engine.run("min-only-avg", hours=16)
+        path = tmp_path / "minonly13.json"
+        engine.run("min-only-avg", hours=12, checkpoint_path=path)
+        resumed = engine.resume(path, hours=16)
         assert_identical(resumed, reference)
 
     def test_resumed_run_keeps_checkpointing(self, engine, tmp_path):
