@@ -14,7 +14,8 @@ Run as a script — ``PYTHONPATH=src python benchmarks/bench_solver_timing.py
 [--quick]`` — to produce the machine-readable perf baseline
 ``BENCH_solver.json`` at the repo root: the repeated-hour cost-min MILP
 with and without the compiled-model cache, branch-and-bound node
-throughput with and without warm starts, at 3 and 13 sites, plus the
+throughput with warm node LPs (each child re-solved from its parent's
+basis inside one solve) against cold ones, at 3 and 13 sites, plus the
 large-fleet dispatch cases (50/200/1000 sites through the region
 decomposition, against a monolithic reference where affordable) and the
 decomposition-vs-monolithic equivalence check. CI runs the quick mode
@@ -150,7 +151,7 @@ def test_cost_min_own_branch_bound(benchmark, world, site_hours_3):
 
 
 def test_cost_min_3_sites_scipy(benchmark, world, site_hours_3):
-    # Cold-path contrast for the default (cached + warm) case above.
+    # Cold-path contrast for the default (compiled-cache) case above.
     lam = 0.5 * sum(sh.max_rate_rps for sh in site_hours_3)
     solver = CostMinimizer(backend="scipy")
     result = benchmark(lambda: solver.solve(site_hours_3, lam))
@@ -205,10 +206,12 @@ def _cost_min_sf(site_hours, lam):
 
 
 def _repeated_hour_case(world, n_sites: int, n_hours: int, passes: int) -> dict:
-    """Repeated-hour cost-min: cold rebuild+solve vs cached patch+warm solve.
+    """Repeated-hour cost-min: cold rebuild+solve vs cached patch+solve.
 
     Cold and hot run the *same* engine (own B&B over the dense simplex),
-    so the ratio isolates what the model cache + warm starts buy. SciPy
+    so the ratio isolates what the model cache, the enumeration kernel
+    and warm node LPs buy. Every hour is still solved from its own
+    inputs alone; nothing carries from one hour to the next. SciPy
     is timed too, as the external reference point. Each variant sweeps
     the hour sequence ``passes`` times and keeps the fastest sweep —
     min-of-N is the standard guard against scheduler noise at the
@@ -236,7 +239,7 @@ def _repeated_hour_case(world, n_sites: int, n_hours: int, passes: int) -> dict:
         )
     )
     # Hot: one default minimizer across the sequence (compiled-model
-    # cache + warm-started B&B, exactly what the engine holds).
+    # cache, kernel first, B&B with warm node LPs: what the engine holds).
     hot = CostMinimizer()
     hot_s = run(lambda: hot)
     scipy_s = run(lambda: CostMinimizer(backend="scipy"))
@@ -254,29 +257,35 @@ def _repeated_hour_case(world, n_sites: int, n_hours: int, passes: int) -> dict:
 
 
 def _node_throughput_case(world, n_sites: int, reps: int) -> dict:
-    """B&B node throughput (nodes/s) on one cost-min MILP, cold vs warm."""
+    """B&B node throughput (nodes/s) on one cost-min MILP, cold vs warm.
+
+    Warm re-solves each child node's LP from its parent's basis; cold
+    solves every node LP from scratch. Solves share no state, so the
+    ratio is only what warm node LPs buy inside one search tree. An
+    untimed first solve per variant builds the simplex's expanded
+    constraint layout, which both variants then reuse.
+    """
     from repro.solver import BranchBoundSolver, SimplexSolver
 
     site_hours = _hours_at(world, n_sites, 40)
     lam = 0.5 * sum(sh.max_rate_rps for sh in site_hours)
     sf = _cost_min_sf(site_hours, lam)
 
-    cold_nodes, cold_s = 0, 0.0
-    for _ in range(reps):
-        solver = BranchBoundSolver(lp_solver=SimplexSolver(), warm_start=False)
-        t0 = time.perf_counter()
-        res = solver.solve(sf)
-        cold_s += time.perf_counter() - t0
-        cold_nodes += res.iterations
+    def run(warm_start: bool) -> tuple[int, float]:
+        solver = BranchBoundSolver(
+            lp_solver=SimplexSolver(), warm_start=warm_start
+        )
+        solver.solve(sf)
+        nodes, seconds = 0, 0.0
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            res = solver.solve(sf)
+            seconds += time.perf_counter() - t0
+            nodes += res.iterations
+        return nodes, seconds
 
-    warm = BranchBoundSolver(lp_solver=SimplexSolver(), warm_start=True)
-    primed = warm.solve(sf)  # untimed: builds the root basis + incumbent
-    warm_nodes, warm_s = 0, 0.0
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        res = warm.solve(sf, warm_x=primed.x)
-        warm_s += time.perf_counter() - t0
-        warm_nodes += res.iterations
+    cold_nodes, cold_s = run(False)
+    warm_nodes, warm_s = run(True)
 
     cold_rate = cold_nodes / cold_s if cold_s > 0 else float("inf")
     warm_rate = warm_nodes / warm_s if warm_s > 0 else float("inf")
