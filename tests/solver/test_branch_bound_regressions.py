@@ -123,8 +123,8 @@ class TestWarmColdEquivalence:
     def test_random_knapsacks(self, seed):
         """Warm-started own stack == cold own stack == HiGHS, repeatedly.
 
-        The second warm solve on the same instance must not depend on
-        the first: no basis or incumbent carries across solves.
+        The second warm solve on the same instance starts afresh: no
+        basis or incumbent carries across solves.
         """
         rng = np.random.default_rng(seed)
         n = 7
