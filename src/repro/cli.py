@@ -54,8 +54,11 @@ solver metrics and writes a JSONL sidecar to ``PATH`` on completion.
 ``serve`` streams its telemetry with ``--telemetry PATH`` instead.
 
 Each flag is declared once, on a parent parser that every command
-taking it shares, and ``main`` checks ``--solver-backend``, ``--tariff``
-and a batch command's ``--hours`` in one place before any command runs.
+taking it shares, and ``main`` checks ``--solver-backend``, ``--tariff``,
+a batch command's ``--hours`` and the solver environment variables
+(``REPRO_SOLVER_BACKEND``, ``REPRO_DECOMP_AUTO_SITES``,
+``REPRO_MODEL_CACHE_SIZE``, ``REPRO_DENSE_TABLEAU_CELLS``) in one place
+before any command runs.
 """
 
 from __future__ import annotations
@@ -210,6 +213,9 @@ def _preflight(args: argparse.Namespace) -> int | None:
       is then published via ``REPRO_SOLVER_BACKEND`` so every optimizer
       constructed anywhere inside the run (strategies build their own)
       resolves it without threading a parameter through each layer.
+    * For a command that dispatches, a ``REPRO_SOLVER_BACKEND`` set in
+      the environment (and no flag) is checked as the flag is, and the
+      solver stack's integer variables (``INT_ENV_VARS``) must parse.
     * Each ``--tariff`` spec (for ``sweep``, every spec of its tariff
       axis) is parsed once through :func:`repro.billing.make_ledger`, so
       a typo'd component or parameter fails with the registry's message
@@ -218,17 +224,28 @@ def _preflight(args: argparse.Namespace) -> int | None:
 
     Returns an exit code on a bad value, None to proceed.
     """
-    name = getattr(args, "solver_backend", None)
-    if name:
-        from .solver.registry import backend_spec
+    from .solver.registry import INT_ENV_VARS, backend_spec, env_int
 
+    dispatches = hasattr(args, "solver_backend") or args.func is _cmd_resume
+    name, source = getattr(args, "solver_backend", None), ""
+    if dispatches:
+        for var in INT_ENV_VARS:
+            try:
+                env_int(var, 0)
+            except ValueError as exc:
+                print(f"error: {exc}")
+                return 2
+        if not name:
+            name = os.environ.get("REPRO_SOLVER_BACKEND")
+            source = "REPRO_SOLVER_BACKEND: "
+    if name:
         try:
             spec = backend_spec(name)
         except ValueError as exc:
-            print(f"error: {exc}")
+            print(f"error: {source}{exc}")
             return 2
         if not spec.milp:
-            print(f"error: solver backend {name!r} lacks the milp "
+            print(f"error: {source}solver backend {name!r} lacks the milp "
                   "capability; it solves LP relaxations only")
             return 2
         os.environ["REPRO_SOLVER_BACKEND"] = name

@@ -29,7 +29,7 @@ from .dispatch_model import (
     piecewise_widths,
 )
 from .linearize import LinearizedCost, add_stepped_cost, reachable_segments
-from .model_cache import DispatchModelCache, MinOnlyCache
+from .model_cache import DispatchModelCache
 from .hierarchical import (
     HierarchicalBillCapper,
     HierarchicalDispatcher,
@@ -56,7 +56,6 @@ __all__ = [
     "build_dispatch_model",
     "piecewise_widths",
     "DispatchModelCache",
-    "MinOnlyCache",
     "DecompositionSolver",
     "DecompositionOutcome",
     "decomposition_auto_sites",

@@ -15,20 +15,29 @@ reproduced here:
 3. **No budget** — it always serves the full offered load, however
    expensive.
 
-With constant prices and affine power, the baseline's problem is an LP.
-The *realized* bill is later evaluated by the simulator against the
-true stepped prices and the full power model — which is where the
+With constant prices and affine power, the baseline's problem is an LP:
+minimize ``sum price_i slope_i lam_i`` subject to ``sum lam_i = L`` and
+``0 <= lam_i <= believed_max_i``. That is the enumeration kernel's
+boxed transportation problem with one choice per site, so the default
+path answers it with :func:`~repro.core.enum_kernel.cost_min_fill`:
+sites fill in ascending order of marginal price, tied sites in site
+order. The *realized* bill is later evaluated by the simulator against
+the true stepped prices and the full power model — which is where the
 baseline underperforms, exactly as in the paper's Figures 3-4 and 9.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from ..datacenter import DataCenter, WATTS_PER_MW
-from ..solver import Model, quicksum
+from ..solver import InfeasibleError, Model, quicksum
 from .allocation import Allocation, CappingStep, HourlyDecision
+from .dispatch_model import RATE_SCALE
+from .enum_kernel import SiteChoices, combo_index, cost_min_fill, counted
 from .site import SiteHour
 
 __all__ = ["PriceMode", "MinOnlyDispatcher"]
@@ -89,17 +98,15 @@ class MinOnlyDispatcher:
         the baseline's *decision* model; realized cost still uses the
         full physics.
     backend:
-        Solver backend; the problem is an LP, any backend works.
-    solver_backend:
-        LP engine for the compiled hot path: ``"simplex"``,
-        ``"revised-simplex"`` or ``None`` (size-adaptive default).
+        ``None`` (the default) answers with the kernel's greedy fill;
+        any solver backend instead builds and solves the LP through
+        :class:`~repro.solver.Model` (the reference the fill is tested
+        against).
     """
 
     price_mode: PriceMode
     server_slopes: dict[str, float]
     backend: object | None = None
-    solver_backend: str | None = None
-    model_cache: object | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def for_sites(cls, sites, mode: PriceMode, **kwargs) -> "MinOnlyDispatcher":
@@ -122,29 +129,19 @@ class MinOnlyDispatcher:
         """Serve the full offered load at (believed) minimum cost."""
         if total_rate_rps < 0:
             raise ValueError("total rate must be >= 0")
-        from .dispatch_model import RATE_SCALE
-
+        for sh in site_hours:
+            if sh.name not in self.server_slopes:
+                raise KeyError(f"no server slope for site {sh.name!r}")
         if self.backend is None:
-            return self._solve_cached(site_hours, total_rate_rps)
+            return self._solve_fill(site_hours, total_rate_rps)
 
         m = Model("min-only")
         rates = []
         costs = []
         for sh in site_hours:
-            if sh.name not in self.server_slopes:
-                raise KeyError(f"no server slope for site {sh.name!r}")
             slope = self.server_slopes[sh.name] * RATE_SCALE  # MW per Mrps
             price = self.price_mode.constant_price(sh)
-            # The baseline converts the contractual power cap to a rate
-            # bound with its *own* (servers-only) model — difference 2
-            # of Section VII-A. Underestimating power, it believes the
-            # cap admits more load than it physically does; the local
-            # optimizers shed the excess at dispatch time.
-            believed_max = sh.physical_rate_rps
-            if sh.power_cap_mw < float("inf"):
-                believed_max = min(
-                    believed_max, sh.power_cap_mw / self.server_slopes[sh.name]
-                )
+            believed_max = self._believed_max_rps(sh)
             rate = m.var(f"lam[{sh.name}]", lb=0.0, ub=believed_max / RATE_SCALE)
             if sh.power_cap_mw < float("inf"):
                 m.add(slope * rate <= sh.power_cap_mw, name=f"cap[{sh.name}]")
@@ -157,29 +154,53 @@ class MinOnlyDispatcher:
         lams = [max(0.0, res.value(rate)) * RATE_SCALE for rate in rates]
         return self._decision(site_hours, total_rate_rps, lams)
 
-    def _solve_cached(
+    def _believed_max_rps(self, sh: SiteHour) -> float:
+        """The site's rate bound as the baseline believes it.
+
+        The baseline converts the contractual power cap to a rate bound
+        with its *own* (servers-only) model — difference 2 of Section
+        VII-A. Underestimating power, it believes the cap admits more
+        load than it physically does; the local optimizers shed the
+        excess at dispatch time.
+        """
+        believed_max = sh.physical_rate_rps
+        if sh.power_cap_mw < float("inf"):
+            believed_max = min(
+                believed_max, sh.power_cap_mw / self.server_slopes[sh.name]
+            )
+        return believed_max
+
+    def _solve_fill(
         self, site_hours: list[SiteHour], total_rate_rps: float
     ) -> HourlyDecision:
-        """Hot path: patch the compiled baseline LP instead of rebuilding.
+        """Default path: the LP answered by the kernel's greedy fill.
 
-        Same LP, same result (the equivalence is pinned by tests); the
-        modeling layer is skipped, and each hour's LP is solved from its
-        own inputs alone.
+        One choice per site: rate in ``[0, believed_max]`` (scaled), at
+        marginal cost ``price * slope`` per scaled unit, with no fixed
+        cost. The LP's cap rows are implied by that bound.
         """
-        from .dispatch_model import RATE_SCALE
-        from .model_cache import MinOnlyCache
-
+        sites = []
         for sh in site_hours:
-            if sh.name not in self.server_slopes:
-                raise KeyError(f"no server slope for site {sh.name!r}")
-        if self.model_cache is None:
-            self.model_cache = MinOnlyCache(lp_solver=self.solver_backend)
-        prices = [self.price_mode.constant_price(sh) for sh in site_hours]
-        res = self.model_cache.solve(
-            site_hours, total_rate_rps, prices, self.server_slopes
+            slope = self.server_slopes[sh.name]
+            price = self.price_mode.constant_price(sh)
+            sites.append(SiteChoices(
+                a=slope * RATE_SCALE,
+                b=0.0,
+                lo=np.zeros(1),
+                hi=np.array([self._believed_max_rps(sh) / RATE_SCALE]),
+                m=np.array([price * slope * RATE_SCALE]),
+                f=np.zeros(1),
+                price=np.array([price]),
+                pos=(0,),
+            ))
+        fill = counted(
+            cost_min_fill, sites, combo_index(sites),
+            total_rate_rps / RATE_SCALE,
         )
-        lams = [max(0.0, float(res.x[i])) * RATE_SCALE
-                for i in range(len(site_hours))]
+        if fill is None:
+            raise InfeasibleError("model 'min-only' is infeasible")
+        _, lam, _ = fill
+        lams = [max(0.0, float(x)) * RATE_SCALE for x in lam]
         return self._decision(site_hours, total_rate_rps, lams)
 
     def _decision(

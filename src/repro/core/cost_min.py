@@ -13,10 +13,15 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from ..solver import InfeasibleError, SolveResult
-from .allocation import Allocation, CappingStep, HourlyDecision
+from ..solver import InfeasibleError
+from .allocation import CappingStep, HourlyDecision
 from .decomposition import DecompositionSolver, decomposition_auto_sites
-from .dispatch_model import RATE_SCALE, build_dispatch_model
+from .dispatch_model import (
+    RATE_SCALE,
+    _decision_from,
+    build_dispatch_model,
+    single_class_decision,
+)
 from .model_cache import DispatchModelCache
 from .site import SiteHour
 
@@ -63,8 +68,9 @@ class CostMinimizer:
     backend:
         Solver backend name or object (see
         :meth:`repro.solver.Model.solve`); ``None`` (the default)
-        enables the compiled-model hot path — the MILP structure is
-        cached and patched per hour, solved by a warm-started
+        enables the hot path — the enumeration kernel answers
+        separable hours from the site hours alone; otherwise the MILP
+        structure is cached and patched per hour, solved by
         branch-and-bound with SciPy/HiGHS as automatic fallback.
         Passing any explicit backend (including ``"scipy"``) forces the
         cold build-and-solve path.
@@ -89,9 +95,6 @@ class CostMinimizer:
     model_cache: DispatchModelCache | None = field(
         default=None, repr=False, compare=False
     )
-    _decomposer: DecompositionSolver | None = field(
-        default=None, repr=False, compare=False
-    )
 
     def solve(
         self, site_hours: list[SiteHour], total_rate_rps: float
@@ -113,10 +116,7 @@ class CostMinimizer:
             self.backend, self.solver_backend
         )
         if _use_decomposition(backend, solver_backend, len(site_hours)):
-            # Persist the solver so warm multipliers carry hour to hour.
-            if self._decomposer is None:
-                self._decomposer = DecompositionSolver()
-            out = self._decomposer.solve_cost_min(
+            out = DecompositionSolver().solve_cost_min(
                 site_hours, total_rate_rps, self.step_margin_frac
             )
             if out is not None:
@@ -131,10 +131,9 @@ class CostMinimizer:
                 self.model_cache = DispatchModelCache(
                     solver_backend=cache_backend
                 )
-            dm, res = self.model_cache.solve_cost_min(
+            return self.model_cache.solve_cost_min(
                 site_hours, total_rate_rps, self.step_margin_frac
             )
-            return _decision_from(dm, res, CappingStep.COST_MIN)
 
         dm = build_dispatch_model(
             site_hours, name="cost-min", step_margin_frac=self.step_margin_frac
@@ -148,46 +147,6 @@ class CostMinimizer:
 
 
 def _zero_decision(site_hours: list[SiteHour], step: CappingStep) -> HourlyDecision:
-    allocs = tuple(
-        Allocation(sh.name, 0.0, 0.0, sh.policy.price(sh.background_mw), 0.0)
-        for sh in site_hours
-    )
-    return HourlyDecision(
-        step=step,
-        allocations=allocs,
-        served_premium_rps=0.0,
-        served_ordinary_rps=0.0,
-        demand_premium_rps=0.0,
-        demand_ordinary_rps=0.0,
-        predicted_cost=0.0,
-    )
-
-
-def _decision_from(dm, res: SolveResult, step: CappingStep) -> HourlyDecision:
-    """Translate a solved dispatch model into an HourlyDecision.
-
-    Premium/ordinary accounting is filled in by the callers that know
-    the class mix; here everything is reported as a single class.
-    """
-    allocs = []
-    for sv in dm.sites:
-        rate = sv.rate_rps(res)
-        power = max(0.0, res.value(sv.power))
-        cost = max(0.0, res.value(sv.cost_expr))
-        price = cost / power if power > 1e-12 else sv.site.policy.price(
-            sv.site.background_mw
-        )
-        allocs.append(Allocation(sv.site.name, rate, power, price, cost))
-    total = sum(a.rate_rps for a in allocs)
-    return HourlyDecision(
-        step=step,
-        allocations=tuple(allocs),
-        served_premium_rps=total,
-        served_ordinary_rps=0.0,
-        demand_premium_rps=total,
-        demand_ordinary_rps=0.0,
-        # Sum of per-site bills, not res.objective: the objective is the
-        # cost only for cost-min, but this helper also serves the
-        # throughput-max problem whose objective is the rate.
-        predicted_cost=sum(a.predicted_cost for a in allocs),
+    return single_class_decision(
+        step, [(sh, 0.0, 0.0, 0.0) for sh in site_hours]
     )

@@ -14,7 +14,8 @@ a few hundred sites — into:
 1. **Dual stage** — bisection on the scalar serve-all multiplier
    (cost-min) or nested bisection on the demand/budget multiplier pair
    (throughput-max). Every evaluation is one vectorized pass over all
-   site choices; multipliers are warm-started hour to hour.
+   site choices, and each search starts from brackets set by this
+   hour's choices alone, so the solver keeps no state between solves.
 2. **Primal recovery** — the dual responses are completed into a
    feasible dispatch, then *re-optimized exactly per market region*
    with the entry-free enumeration greedy
@@ -30,19 +31,21 @@ a few hundred sites — into:
    gap is recorded in telemetry.
 
 Decision construction bypasses the compiled model entirely: outcomes
-materialize straight into :class:`~repro.core.allocation.
-HourlyDecision`, so no dense array ever scales with fleet size.
+decode straight into :class:`~repro.core.allocation.HourlyDecision`
+through the enumeration kernel's decoder
+(:func:`~repro.core.enum_kernel.to_decision`), so no dense array ever
+scales with fleet size.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from ..solver.registry import env_int
 from ..telemetry import get_telemetry
-from .allocation import Allocation, CappingStep, HourlyDecision
+from .allocation import CappingStep, HourlyDecision
 from .dispatch_model import RATE_SCALE
 from .enum_kernel import (
     MAX_COMBOS,
@@ -51,6 +54,7 @@ from .enum_kernel import (
     cost_min_fill,
     site_choices,
     throughput_max_fill,
+    to_decision,
 )
 from .site import SiteHour
 
@@ -71,7 +75,7 @@ DECOMP_AUTO_SITES = 100
 
 def decomposition_auto_sites() -> int:
     """The auto-activation fleet size, honoring the env override."""
-    return int(os.environ.get("REPRO_DECOMP_AUTO_SITES", DECOMP_AUTO_SITES))
+    return env_int("REPRO_DECOMP_AUTO_SITES", DECOMP_AUTO_SITES)
 
 
 def partition_market_regions(
@@ -125,30 +129,9 @@ class DecompositionOutcome:
     def to_decision(
         self, site_hours: list[SiteHour], step: CappingStep
     ) -> HourlyDecision:
-        """Materialize directly into an HourlyDecision (no model arrays)."""
-        allocs = []
-        for i, (sh, sc) in enumerate(zip(site_hours, self.choices)):
-            j = int(self.choice_idx[i])
-            if sc.pos[j] < 0:
-                allocs.append(Allocation(
-                    sh.name, 0.0, 0.0, sh.policy.price(sh.background_mw), 0.0
-                ))
-                continue
-            li = float(self.lam[i])
-            power = sc.a * li + sc.b
-            price = float(sc.price[j])
-            allocs.append(Allocation(
-                sh.name, li * RATE_SCALE, power, price, price * power
-            ))
-        total = sum(a.rate_rps for a in allocs)
-        return HourlyDecision(
-            step=step,
-            allocations=tuple(allocs),
-            served_premium_rps=total,
-            served_ordinary_rps=0.0,
-            demand_premium_rps=total,
-            demand_ordinary_rps=0.0,
-            predicted_cost=sum(a.predicted_cost for a in allocs),
+        """Decode directly into an HourlyDecision (no model arrays)."""
+        return to_decision(
+            site_hours, self.choices, self.choice_idx, self.lam, step
         )
 
 
@@ -208,7 +191,6 @@ class DecompositionSolver:
     max_region_combos: int = 512
     bisect_iters: int = 60
     force_accept_sites: int = 256
-    _mu: float | None = field(default=None, repr=False)
 
     # -- shared plumbing --------------------------------------------------------
 
@@ -259,7 +241,6 @@ class DecompositionSolver:
             self._tel_outcome("fallback")
             return None
         choice_idx, lam, cost, n_regions = primal
-        self._mu = 0.5 * (mu_lo + mu_hi)  # warm-start the next hour's bracket
 
         rel_gap = (cost - lower_bound) / max(abs(cost), 1e-12)
         converged = rel_gap <= self.gap_tol
@@ -315,14 +296,6 @@ class DecompositionSolver:
         m_valid = pad.M[pad.valid]
         mu_lo = min(0.0, float(m_valid.min())) - 1.0
         mu_hi = float(m_valid.max()) + 1.0
-        # Warm start: last hour's multiplier usually brackets this hour.
-        if self._mu is not None and mu_lo < self._mu < mu_hi:
-            width = 0.05 * (mu_hi - mu_lo)
-            w_lo, w_hi = self._mu - width, self._mu + width
-            _, _, low, _ = self._site_response_cost_min(pad, w_lo)
-            _, _, _, high = self._site_response_cost_min(pad, w_hi)
-            if float(low.sum()) <= L <= float(high.sum()):
-                mu_lo, mu_hi = w_lo, w_hi
         _, _, low, _ = self._site_response_cost_min(pad, mu_lo)
         if float(low.sum()) > L + _FEAS_TOL:
             return None  # even the cheapest-response floor overshoots

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..solver import LinExpr, Model, SolveResult, Variable, quicksum
+from .allocation import Allocation, CappingStep, HourlyDecision
 from .linearize import LinearizedCost, add_stepped_cost
 from .site import SiteHour
 
@@ -33,6 +34,7 @@ __all__ = [
     "DispatchModel",
     "build_dispatch_model",
     "piecewise_widths",
+    "single_class_decision",
 ]
 
 #: Requests/second per internal rate unit (1 unit = 1 Mrps).
@@ -83,6 +85,53 @@ class DispatchModel:
         conditioning.
         """
         return quicksum(s.rate for s in self.sites)
+
+
+def single_class_decision(step: CappingStep, readings) -> HourlyDecision:
+    """An HourlyDecision from per-site ``(site_hour, rate, power, bill)``.
+
+    ``rate`` is scaled (Mrps), ``power`` in MW, ``bill`` in $. Negative
+    round-off reads as zero, and the reported price is bill over power,
+    or the background price for a site that draws nothing. Premium and
+    ordinary accounting is filled in by the callers that know the class
+    mix; here everything is reported as a single class.
+    """
+    allocs = []
+    for sh, rate, power, bill in readings:
+        power = max(0.0, power)
+        bill = max(0.0, bill)
+        price = bill / power if power > 1e-12 else sh.policy.price(
+            sh.background_mw
+        )
+        allocs.append(Allocation(
+            sh.name, max(0.0, rate) * RATE_SCALE, power, price, bill
+        ))
+    total = sum(a.rate_rps for a in allocs)
+    return HourlyDecision(
+        step=step,
+        allocations=tuple(allocs),
+        served_premium_rps=total,
+        served_ordinary_rps=0.0,
+        demand_premium_rps=total,
+        demand_ordinary_rps=0.0,
+        predicted_cost=sum(a.predicted_cost for a in allocs),
+    )
+
+
+def _decision_from(
+    dm: DispatchModel, res: SolveResult, step: CappingStep
+) -> HourlyDecision:
+    """Translate a solved dispatch model into an HourlyDecision.
+
+    The bill is the sum of the per-site bills, not ``res.objective``:
+    the objective is the cost only for cost-min, and this also decodes
+    the throughput-max problem, whose objective is the rate.
+    """
+    return single_class_decision(step, [
+        (sv.site, res.value(sv.rate), res.value(sv.power),
+         res.value(sv.cost_expr))
+        for sv in dm.sites
+    ])
 
 
 def build_dispatch_model(

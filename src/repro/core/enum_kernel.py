@@ -24,11 +24,14 @@ whose greedy solution is exact:
 This module enumerates every per-site choice combination (one array
 axis per combination, solved simultaneously with NumPy), evaluates each
 fixed-selection subproblem in closed form, and returns the best — the
-exact MILP optimum — without touching the simplex. Decision equivalence
-with the branch-and-bound and SciPy engines is pinned by
-``tests/core/test_enum_kernel.py`` (objective and served totals; per-
-site splits may legitimately differ between engines at alternate
-optima).
+exact MILP optimum — from the site hours alone: no MILP is compiled,
+and no simplex runs. :func:`to_decision` reads the winning choices into
+an :class:`~repro.core.allocation.HourlyDecision` exactly as the MILP
+path reads a solution with the same choices; the decomposition solver
+decodes through it too. Decision equivalence with the branch-and-bound
+and SciPy engines is pinned by ``tests/core/test_enum_kernel.py``
+(objective and served totals; per-site splits may legitimately differ
+between engines at alternate optima).
 
 The kernel *bails out* (returns ``None``; the caller proceeds with the
 compiled MILP) whenever its assumptions don't hold: piecewise-power
@@ -39,12 +42,15 @@ or more than :data:`MAX_COMBOS` combinations.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..solver.result import SolveResult, SolveStatus
-from .dispatch_model import RATE_SCALE
+from ..telemetry import get_telemetry
+from ..telemetry.instrument import record_solver_result
+from .allocation import CappingStep, HourlyDecision
+from .dispatch_model import RATE_SCALE, single_class_decision
 from .linearize import reachable_segments
 from .site import SiteHour
 
@@ -57,6 +63,8 @@ __all__ = [
     "throughput_max_fill",
     "solve_cost_min",
     "solve_throughput_max",
+    "to_decision",
+    "counted",
 ]
 
 #: Enumeration ceiling: beyond this many per-site choice combinations
@@ -74,9 +82,9 @@ class SiteChoices:
     Arrays are aligned per choice: ``lo``/``hi`` bound the scaled rate,
     ``m`` is the marginal cost per scaled rate unit, ``f`` the fixed
     cost of being active in that segment, ``price`` the segment price.
-    ``pos[j] >= 0`` indexes the entry's segment variables; a negative
-    ``pos`` encodes the inactive choice, selecting segment
-    ``-pos - 1`` with zero power.
+    ``pos[j] >= 0`` indexes the site's reachable segments (and so the
+    MILP's segment variables); a negative ``pos`` encodes the inactive
+    choice, selecting segment ``-pos - 1`` with zero power.
     """
 
     a: float  # MW per scaled rate unit
@@ -87,10 +95,6 @@ class SiteChoices:
     f: np.ndarray
     price: np.ndarray
     pos: tuple[int, ...]
-
-
-# Backwards-friendly private alias (the class predates the public name).
-_SiteChoices = SiteChoices
 
 
 def site_choices(sh: SiteHour, step_margin_frac: float) -> SiteChoices | None:
@@ -150,16 +154,24 @@ def site_choices(sh: SiteHour, step_margin_frac: float) -> SiteChoices | None:
 def combo_index(
     sites: list[SiteChoices], max_combos: int = MAX_COMBOS
 ) -> np.ndarray | None:
-    """The (n_combos, n_sites) choice-index matrix, or None above the cap."""
+    """The (n_combos, n_sites) choice-index matrix, or None above the cap.
+
+    Rows run in mixed-radix order, the last site's choice fastest. The
+    digits are computed rather than taken from a per-site meshgrid, so
+    a fleet of any size works (a grid would need one array axis per
+    site, and NumPy caps those at 64).
+    """
     n_combos = 1
     for sc in sites:
         n_combos *= sc.lo.size
         if n_combos > max_combos:
             return None
-    grids = np.meshgrid(
-        *[np.arange(sc.lo.size) for sc in sites], indexing="ij"
-    )
-    return np.stack([g.ravel() for g in grids], axis=1)
+    idx = np.empty((n_combos, len(sites)), dtype=np.intp)
+    rest = np.arange(n_combos)
+    for i in range(len(sites) - 1, -1, -1):
+        idx[:, i] = rest % sites[i].lo.size
+        rest //= sites[i].lo.size
+    return idx
 
 
 def _prepare(
@@ -183,7 +195,7 @@ def _prepare(
     return sites, idx
 
 
-def _gather(sites: list[_SiteChoices], idx: np.ndarray, field: str) -> np.ndarray:
+def _gather(sites: list[SiteChoices], idx: np.ndarray, field: str) -> np.ndarray:
     """(n_combos, n_sites) matrix of one choice attribute."""
     return np.stack(
         [getattr(sc, field)[idx[:, i]] for i, sc in enumerate(sites)], axis=1
@@ -194,32 +206,6 @@ def _unsort(order_row: np.ndarray, values_row: np.ndarray) -> np.ndarray:
     out = np.empty_like(values_row)
     out[order_row] = values_row
     return out
-
-
-def _result(
-    entry, sites: list[_SiteChoices], idx_row: np.ndarray, lam: np.ndarray,
-    objective: float,
-) -> SolveResult:
-    """Materialize the winning combination as a full solution vector."""
-    x = np.zeros(entry.base.c.size)
-    for i, (sc, sl) in enumerate(zip(sites, entry.slots)):
-        pos = sc.pos[idx_row[i]]
-        if pos < 0:
-            x[sl.yseg[-pos - 1]] = 1.0
-            continue
-        li = float(lam[i])
-        p = sc.a * li + sc.b
-        x[sl.rate] = li
-        x[sl.active] = 1.0
-        x[sl.power] = p
-        x[sl.pseg[pos]] = p
-        x[sl.yseg[pos]] = 1.0
-    return SolveResult(
-        status=SolveStatus.OPTIMAL,
-        objective=objective,
-        x=x,
-        backend="enum-kernel",
-    )
 
 
 def _exact_cost(
@@ -241,8 +227,8 @@ def cost_min_fill(
     """Exact min-cost fill over the enumerated combinations.
 
     Returns ``(best_combo_row, lam_per_site, exact_cost)``; None when no
-    combination can serve ``total_rate_scaled``. Entry-free so the
-    decomposition solver can run it per region.
+    combination can serve ``total_rate_scaled``. The decomposition
+    solver runs it per region, and Min-Only over one choice per site.
     """
     LO, HI, M, F = (_gather(sites, idx, k) for k in ("lo", "hi", "m", "f"))
     sum_lo = LO.sum(axis=1)
@@ -267,10 +253,15 @@ def cost_min_fill(
 
 
 def solve_cost_min(
-    entry, site_hours: list[SiteHour], total_rate_scaled: float,
+    site_hours: list[SiteHour], total_rate_scaled: float,
     step_margin_frac: float,
-) -> SolveResult | None:
-    """Exact minimum-cost dispatch of ``total_rate_scaled`` (Mrps)."""
+) -> tuple | None:
+    """Exact minimum-cost dispatch of ``total_rate_scaled`` (Mrps).
+
+    Returns the winning ``(choices, choice_idx, lam)`` — every site's
+    choice set, the chosen row of each, the per-site scaled rates — or
+    None to bail.
+    """
     prep = _prepare(site_hours, step_margin_frac)
     if prep is None:
         return None
@@ -278,8 +269,8 @@ def solve_cost_min(
     fill = cost_min_fill(sites, idx, total_rate_scaled)
     if fill is None:
         return None  # the MILP owns the infeasibility diagnosis
-    best, lam, objective = fill
-    return _result(entry, sites, idx[best], lam, objective)
+    best, lam, _ = fill
+    return sites, idx[best], lam
 
 
 def throughput_max_fill(
@@ -290,7 +281,7 @@ def throughput_max_fill(
 
     Returns ``(best_combo_row, lam_per_site, served, exact_cost)``; None
     when no combination is admissible (or the tie-break weight breaks
-    the greedy order). Entry-free for the decomposition solver.
+    the greedy order). The decomposition solver runs it per region.
     """
     LO, HI, M, F = (_gather(sites, idx, k) for k in ("lo", "hi", "m", "f"))
     if weight < 0.0 or (weight > 0.0 and weight * M.max(initial=0.0) >= 1.0):
@@ -326,10 +317,14 @@ def throughput_max_fill(
 
 
 def solve_throughput_max(
-    entry, site_hours: list[SiteHour], demand_scaled: float, budget: float,
+    site_hours: list[SiteHour], demand_scaled: float, budget: float,
     step_margin_frac: float, weight: float,
-) -> SolveResult | None:
-    """Exact budget-capped throughput maximization (rates in Mrps)."""
+) -> tuple | None:
+    """Exact budget-capped throughput maximization (rates in Mrps).
+
+    Returns ``(choices, choice_idx, lam)`` as :func:`solve_cost_min`
+    does, or None to bail.
+    """
     prep = _prepare(site_hours, step_margin_frac)
     if prep is None:
         return None
@@ -337,7 +332,50 @@ def solve_throughput_max(
     fill = throughput_max_fill(sites, idx, demand_scaled, budget, weight)
     if fill is None:
         return None
-    best, lam, served, exact_cost = fill
-    # Objective exactly as the MILP prices it (user sense: maximize).
-    objective = float(served - weight * exact_cost)
-    return _result(entry, sites, idx[best], lam, objective)
+    best, lam, _, _ = fill
+    return sites, idx[best], lam
+
+
+def to_decision(
+    site_hours: list[SiteHour], choices: list[SiteChoices],
+    choice_idx: np.ndarray, lam: np.ndarray, step: CappingStep,
+) -> HourlyDecision:
+    """The decision for one chosen row per site at scaled rates ``lam``.
+
+    Each site reads as the MILP solution with the same choices reads
+    (rate, power ``a lam + b`` and bill ``price * power``, through
+    :func:`~repro.core.dispatch_model.single_class_decision`), so the
+    reported price is bill over power, which can differ from the
+    segment price in the last bit.
+    """
+    readings = []
+    for sh, sc, j, li in zip(site_hours, choices, choice_idx, lam):
+        if sc.pos[j] < 0:
+            readings.append((sh, 0.0, 0.0, 0.0))
+            continue
+        li = float(li)
+        power = sc.a * li + sc.b
+        readings.append((sh, li, power, float(sc.price[j]) * power))
+    return single_class_decision(step, readings)
+
+
+def counted(kernel_fn, *args):
+    """Call one kernel entry point, recorded like a solver backend.
+
+    An answer records under ``solver.enum-kernel.*`` alongside the
+    LP/MILP engines (so per-backend telemetry tables stay uniform) plus
+    ``core.enum_kernel.solved``; a ``None`` records only
+    ``core.enum_kernel.bail``.
+    """
+    tel = get_telemetry()
+    t0 = time.perf_counter()
+    out = kernel_fn(*args)
+    if tel.enabled:
+        if out is not None:
+            tel.counter("core.enum_kernel.solved").inc()
+            record_solver_result(
+                tel, "enum-kernel", "optimal", 0, time.perf_counter() - t0
+            )
+        else:
+            tel.counter("core.enum_kernel.bail").inc()
+    return out

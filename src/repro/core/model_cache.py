@@ -1,4 +1,9 @@
-"""Compiled-structure cache for the hourly dispatch programs.
+"""Hot path of the hourly dispatch programs: kernel first, then a
+compiled-structure MILP cache.
+
+Each solve first asks the enumeration kernel
+(:mod:`repro.core.enum_kernel`), which answers separable hours exactly
+from the site hours alone. Only when it bails is a MILP looked up.
 
 The MILP skeleton built by :func:`~repro.core.dispatch_model.
 build_dispatch_model` has identical *structure* every hour for a fixed
@@ -32,8 +37,6 @@ pinned by ``tests/core/test_model_cache.py``.
 from __future__ import annotations
 
 import dataclasses
-import os
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -49,22 +52,23 @@ from ..solver import (
     quicksum,
 )
 from ..solver.branch_bound import BranchBoundSolver
+from ..solver.registry import env_int
 from ..solver.result import SolveStatus
-from ..solver.revised_simplex import RevisedSimplexSolver, lp_solver_for_size
-from ..solver.simplex import SimplexSolver
+from ..solver.revised_simplex import lp_solver_for_size
 from ..telemetry import get_telemetry
-from ..telemetry.instrument import record_solver_result
 from . import enum_kernel
+from .allocation import CappingStep, HourlyDecision
 from .dispatch_model import (
     RATE_SCALE,
     DispatchModel,
+    _decision_from,
     build_dispatch_model,
     piecewise_widths,
 )
 from .linearize import reachable_segments
 from .site import SiteHour
 
-__all__ = ["DispatchModelCache", "MinOnlyCache"]
+__all__ = ["DispatchModelCache"]
 
 _INF = float("inf")
 
@@ -181,7 +185,8 @@ class _Entry:
 
 
 class DispatchModelCache:
-    """LRU cache of compiled dispatch MILPs, patched per hour.
+    """The enumeration kernel, then an LRU cache of compiled dispatch
+    MILPs patched per hour for the solves the kernel bails on.
 
     One instance per optimizer (each :class:`~repro.core.cost_min.
     CostMinimizer` / :class:`~repro.core.throughput_max.
@@ -193,7 +198,7 @@ class DispatchModelCache:
                  use_enum_kernel: bool = True,
                  solver_backend: str | None = None):
         if maxsize is None:
-            maxsize = int(os.environ.get("REPRO_MODEL_CACHE_SIZE", "32"))
+            maxsize = env_int("REPRO_MODEL_CACHE_SIZE", 32)
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize
@@ -216,10 +221,11 @@ class DispatchModelCache:
         #: picks the size-adaptive default (dense simplex B&B for small
         #: fleets, revised simplex above the tableau cell budget).
         self.solver_backend = solver_backend
-        #: Try the exact segment-enumeration kernel before the MILP
-        #: (see :mod:`repro.core.enum_kernel`). It bails to the MILP
-        #: whenever its assumptions don't hold; set False to force the
-        #: branch-and-bound path (fallback tests, baseline comparisons).
+        #: Try the exact segment-enumeration kernel before any MILP is
+        #: looked up (see :mod:`repro.core.enum_kernel`). It bails to
+        #: the MILP whenever its assumptions don't hold; set False to
+        #: force the branch-and-bound path (fallback tests, baseline
+        #: comparisons).
         self.use_enum_kernel = use_enum_kernel
         self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
 
@@ -230,26 +236,26 @@ class DispatchModelCache:
         site_hours: list[SiteHour],
         total_rate_rps: float,
         step_margin_frac: float,
-    ) -> tuple[DispatchModel, SolveResult]:
+    ) -> HourlyDecision:
         """Hot-path equivalent of ``CostMinimizer``'s build-and-solve.
 
-        Returns the (rebound) dispatch model and a result with the
-        objective already fixed up exactly as ``Model.solve`` would;
-        raises the same errors as ``raise_on_failure=True``.
+        The kernel answers first; only when it bails is the MILP looked
+        up (compiled on a miss), patched and solved. Raises the same
+        errors as ``raise_on_failure=True``.
         """
-        entry = self._entry("cost-min", site_hours, step_margin_frac)
+        step = CappingStep.COST_MIN
         if self.use_enum_kernel:
-            res = self._try_kernel(
-                enum_kernel.solve_cost_min,
-                entry, site_hours, total_rate_rps / RATE_SCALE,
-                step_margin_frac,
+            decision = self._try_kernel(
+                enum_kernel.solve_cost_min, step,
+                site_hours, total_rate_rps / RATE_SCALE, step_margin_frac,
             )
-            if res is not None:
-                return self._rebound(entry, site_hours), res
+            if decision is not None:
+                return decision
+        entry = self._entry("cost-min", site_hours, step_margin_frac)
         sf = self._patched(entry, site_hours, step_margin_frac)
         sf.b_eq[entry.serve_all_row] = total_rate_rps / RATE_SCALE
         res = self._solve(entry, sf, "cost-min")
-        return self._rebound(entry, site_hours), res
+        return _decision_from(self._rebound(entry, site_hours), res, step)
 
     def solve_throughput_max(
         self,
@@ -260,7 +266,7 @@ class DispatchModelCache:
         cost_tiebreak_weight: float,
         peak_mw: float | None = None,
         peak_penalty: float = 0.0,
-    ) -> tuple[DispatchModel, SolveResult]:
+    ) -> HourlyDecision:
         """Hot-path equivalent of ``ThroughputMaximizer``'s solve.
 
         With a demand charge in force (``peak_mw`` is the billing
@@ -273,52 +279,43 @@ class DispatchModelCache:
         pre-existing entry — and the enumeration kernel, which assumes
         a separable bill, only runs for them.
         """
+        step = CappingStep.THROUGHPUT_MAX
         peak_active = peak_mw is not None and peak_penalty > 0.0
+        if self.use_enum_kernel and not peak_active:
+            decision = self._try_kernel(
+                enum_kernel.solve_throughput_max, step,
+                site_hours, offered_rate_rps / RATE_SCALE, budget,
+                step_margin_frac, cost_tiebreak_weight,
+            )
+            if decision is not None:
+                return decision
         extra: tuple = (float(cost_tiebreak_weight),)
         if peak_active:
             extra = (float(cost_tiebreak_weight), float(peak_penalty))
         entry = self._entry(
             "throughput-max", site_hours, step_margin_frac, extra=extra
         )
-        if self.use_enum_kernel and not peak_active:
-            res = self._try_kernel(
-                enum_kernel.solve_throughput_max,
-                entry, site_hours, offered_rate_rps / RATE_SCALE, budget,
-                step_margin_frac, cost_tiebreak_weight,
-            )
-            if res is not None:
-                return self._rebound(entry, site_hours), res
         sf = self._patched(entry, site_hours, step_margin_frac)
         sf.b_ub[entry.demand_row] = offered_rate_rps / RATE_SCALE
         sf.b_ub[entry.budget_row] = budget
         if peak_active:
             sf.b_ub[entry.peak_row] = peak_mw
         res = self._solve(entry, sf, "throughput-max")
-        return self._rebound(entry, site_hours), res
+        return _decision_from(self._rebound(entry, site_hours), res, step)
 
     @staticmethod
-    def _try_kernel(solver_fn, *args) -> SolveResult | None:
-        """Run one enumeration-kernel attempt, instrumented like a backend.
+    def _try_kernel(
+        kernel_fn, step: CappingStep, site_hours: list[SiteHour], *args
+    ) -> HourlyDecision | None:
+        """One enumeration-kernel attempt, decoded; None when it bails.
 
-        A solved hour records under ``solver.enum-kernel.*`` alongside
-        the LP/MILP engines (so per-backend telemetry tables stay
-        uniform) plus the ``core.enum_kernel.solved`` counter; a bail
-        records only ``core.enum_kernel.bail`` — the MILP that takes
-        over does its own solver accounting.
+        Counted by :func:`~repro.core.enum_kernel.counted`; the MILP
+        that takes over after a bail does its own solver accounting.
         """
-        tel = get_telemetry()
-        t0 = time.perf_counter()
-        res = solver_fn(*args)
-        if tel.enabled:
-            if res is not None:
-                tel.counter("core.enum_kernel.solved").inc()
-                record_solver_result(
-                    tel, res.backend, res.status.value, res.iterations,
-                    time.perf_counter() - t0,
-                )
-            else:
-                tel.counter("core.enum_kernel.bail").inc()
-        return res
+        won = enum_kernel.counted(kernel_fn, site_hours, *args)
+        if won is None:
+            return None
+        return enum_kernel.to_decision(site_hours, *won, step)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -565,125 +562,3 @@ class DispatchModelCache:
             [dataclasses.replace(sv, site=sh)
              for sv, sh in zip(entry.dm.sites, site_hours)],
         )
-
-
-class MinOnlyCache:
-    """Compiled-LP cache for the Min-Only baseline dispatcher.
-
-    The baseline's problem is a tiny LP whose structure depends only on
-    the site list and which sites have finite power caps; prices (in
-    ``CURRENT`` mode), believed rate limits and the offered load vary
-    per hour and are patched into the objective, bounds and right-hand
-    sides. Each hour's LP is solved cold, from its own inputs alone.
-    """
-
-    def __init__(self, lp_solver=None):
-        self._key: tuple | None = None
-        self._base: StandardForm | None = None
-        self._cap_rows: list[int | None] = []
-        if isinstance(lp_solver, str):
-            if lp_solver == "simplex":
-                lp_solver = SimplexSolver()
-            elif lp_solver == "revised-simplex":
-                lp_solver = RevisedSimplexSolver()
-            else:
-                raise ValueError(
-                    "MinOnlyCache lp_solver name must be 'simplex' or "
-                    f"'revised-simplex', got {lp_solver!r}"
-                )
-        #: None picks per-structure via lp_solver_for_size at compile.
-        self._solver = lp_solver
-        self._auto_solver = lp_solver is None
-
-    def solve(
-        self,
-        site_hours: list[SiteHour],
-        total_rate_rps: float,
-        constant_prices: list[float],
-        server_slopes: dict[str, float],
-    ) -> SolveResult:
-        """Solve the baseline LP; ``x[i]`` is site *i*'s rate (scaled).
-
-        Raises the same errors as ``Model.solve(raise_on_failure=True)``.
-        """
-        key = tuple(
-            (sh.name, server_slopes[sh.name], sh.power_cap_mw < _INF)
-            for sh in site_hours
-        )
-        tel = get_telemetry()
-        if key != self._key:
-            self._compile(key, site_hours, server_slopes)
-            if tel.enabled:
-                tel.counter("core.model_cache.miss").inc()
-        elif tel.enabled:
-            tel.counter("core.model_cache.hit").inc()
-
-        base = self._base
-        sf = StandardForm(
-            c=base.c.copy(),
-            A_ub=base.A_ub,
-            b_ub=base.b_ub.copy(),
-            A_eq=base.A_eq,
-            b_eq=base.b_eq.copy(),
-            lb=base.lb,
-            ub=base.ub.copy(),
-            integrality=base.integrality,
-        )
-        for i, (sh, price) in enumerate(zip(site_hours, constant_prices)):
-            slope = server_slopes[sh.name]
-            sf.c[i] = price * slope * RATE_SCALE
-            believed_max = sh.physical_rate_rps
-            if sh.power_cap_mw < _INF:
-                believed_max = min(believed_max, sh.power_cap_mw / slope)
-            sf.ub[i] = believed_max / RATE_SCALE
-            if self._cap_rows[i] is not None:
-                sf.b_ub[self._cap_rows[i]] = sh.power_cap_mw
-        sf.b_eq[0] = total_rate_rps / RATE_SCALE
-
-        res = self._solver.solve(sf)
-        if not res.ok and res.status not in (
-            SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED
-        ):
-            if tel.enabled:
-                tel.counter("core.model_cache.fallback").inc()
-            from ..solver.scipy_backend import ScipyLpBackend
-
-            res = ScipyLpBackend().solve(sf)
-        if res.ok:
-            return res
-        if res.status is SolveStatus.INFEASIBLE:
-            raise InfeasibleError("model 'min-only' is infeasible")
-        if res.status is SolveStatus.UNBOUNDED:
-            raise UnboundedError("model 'min-only' is unbounded")
-        raise SolverLimitError(
-            f"model 'min-only': {res.status.value} ({res.message})"
-        )
-
-    def _compile(self, key: tuple, site_hours: list[SiteHour],
-                 server_slopes: dict[str, float]) -> None:
-        n = len(site_hours)
-        cap_rows: list[int | None] = []
-        rows = []
-        for i, sh in enumerate(site_hours):
-            if sh.power_cap_mw < _INF:
-                row = np.zeros(n)
-                row[i] = server_slopes[sh.name] * RATE_SCALE  # MW per Mrps
-                cap_rows.append(len(rows))
-                rows.append(row)
-            else:
-                cap_rows.append(None)
-        A_ub = np.array(rows) if rows else np.zeros((0, n))
-        self._base = StandardForm(
-            c=np.zeros(n),
-            A_ub=A_ub,
-            b_ub=np.zeros(len(rows)),
-            A_eq=np.ones((1, n)),
-            b_eq=np.zeros(1),
-            lb=np.zeros(n),
-            ub=np.zeros(n),
-            integrality=np.zeros(n, dtype=bool),
-        )
-        self._cap_rows = cap_rows
-        self._key = key
-        if self._auto_solver:
-            self._solver = lp_solver_for_size(n, len(rows) + 1)

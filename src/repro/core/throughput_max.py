@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 from ..solver import InfeasibleError, quicksum
 from .allocation import CappingStep, HourlyDecision
 from .cost_min import (
-    _decision_from,
     _use_decomposition,
     _zero_decision,
     resolve_solver_backend,
 )
 from .decomposition import DecompositionSolver
-from .dispatch_model import RATE_SCALE, build_dispatch_model
+from .dispatch_model import RATE_SCALE, _decision_from, build_dispatch_model
 from .model_cache import DispatchModelCache
 from .site import SiteHour
 
@@ -53,9 +52,6 @@ class ThroughputMaximizer:
     cost_tiebreak_weight: float = 1e-6
     step_margin_frac: float = 0.01
     model_cache: DispatchModelCache | None = field(
-        default=None, repr=False, compare=False
-    )
-    _decomposer: DecompositionSolver | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -98,9 +94,7 @@ class ThroughputMaximizer:
         if not peak_active and _use_decomposition(
             backend, solver_backend, len(site_hours)
         ):
-            if self._decomposer is None:
-                self._decomposer = DecompositionSolver()
-            out = self._decomposer.solve_throughput_max(
+            out = DecompositionSolver().solve_throughput_max(
                 site_hours, offered_rate_rps, budget,
                 self.step_margin_frac, self.cost_tiebreak_weight,
             )
@@ -119,13 +113,12 @@ class ThroughputMaximizer:
                 self.model_cache = DispatchModelCache(
                     solver_backend=cache_backend
                 )
-            dm, res = self.model_cache.solve_throughput_max(
+            decision = self.model_cache.solve_throughput_max(
                 site_hours, offered_rate_rps, budget,
                 self.step_margin_frac, self.cost_tiebreak_weight,
                 peak_mw=peak_mw if peak_active else None,
                 peak_penalty=peak_penalty if peak_active else 0.0,
             )
-            decision = _decision_from(dm, res, CappingStep.THROUGHPUT_MAX)
             return _with_budget(decision, budget)
 
         dm = build_dispatch_model(

@@ -239,7 +239,7 @@ class ControlLoop:
         self.trigger = trigger or TriggerPolicy()
         self.horizon = engine._horizon(hours)
         self.degradation = degradation
-        self.name = name or engine._result_name(self.strategy)
+        self.name = name or engine._run_name(self.strategy)
         if budgeter is not None and budget_source is not None:
             raise ValueError(
                 "pass either a budgeter or a budget_source, not both"

@@ -463,7 +463,7 @@ class Engine:
             )
         self._check_budgeter(budgeter, horizon, needed=horizon)
         strategy.prepare(self)
-        result = SimulationResult(name or self._result_name(strategy))
+        result = SimulationResult(name or self._run_name(strategy))
         ledger = (
             tariff if isinstance(tariff, SettlementLedger)
             else make_ledger(tariff)
@@ -834,7 +834,7 @@ class Engine:
         return strategy
 
     @staticmethod
-    def _result_name(strategy: "DispatchStrategy") -> str:
+    def _run_name(strategy: "DispatchStrategy") -> str:
         return getattr(strategy, "result_name", strategy.name)
 
     @staticmethod

@@ -17,9 +17,9 @@ they are getting before they depend on it:
     Solves mixed-integer programs (otherwise LP relaxations only).
 ``warm_start``
     Re-solves branch-and-bound child nodes from their parent's basis
-    (``solve_warm``) inside one solve. Only the decomposition backend
-    carries state across solves: it brackets each hour's multiplier
-    search around the last hour's.
+    (``solve_warm``) inside one solve; the decomposition backend has
+    it through its monolithic fallback. No backend carries state from
+    one solve to the next.
 ``sparse``
     Prices columns sparsely / factorizes the basis instead of carrying
     a dense tableau — the large-fleet engines.
@@ -32,6 +32,7 @@ they are getting before they depend on it:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,7 +42,18 @@ __all__ = [
     "get_backend",
     "backend_spec",
     "available_backends",
+    "INT_ENV_VARS",
+    "env_int",
 ]
+
+#: The solver stack's integer tuning variables and the least value each
+#: accepts: the decomposition's auto-activation fleet size, the
+#: compiled-model cache capacity and the dense-tableau cell budget.
+INT_ENV_VARS = {
+    "REPRO_DECOMP_AUTO_SITES": 0,
+    "REPRO_MODEL_CACHE_SIZE": 1,
+    "REPRO_DENSE_TABLEAU_CELLS": 0,
+}
 
 
 @dataclass(frozen=True)
@@ -225,3 +237,24 @@ def available_backends() -> tuple[str, ...]:
     """All registered backend names, sorted."""
     _ensure_builtins()
     return tuple(sorted(_SPECS))
+
+
+def env_int(name: str, default: int) -> int:
+    """The integer variable ``name`` of :data:`INT_ENV_VARS`, or ``default``.
+
+    Raises :class:`ValueError` naming the variable when it is set to
+    anything but an integer at or above its least value.
+    """
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    minimum = INT_ENV_VARS[name]
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < minimum:
+        raise ValueError(
+            f"{name} must be an integer >= {minimum}, got {text!r}"
+        )
+    return value

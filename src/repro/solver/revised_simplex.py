@@ -26,7 +26,6 @@ pricing_passes`` counts full reduced-cost sweeps.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +33,7 @@ from scipy import sparse as _sparse
 
 from ..telemetry import get_telemetry
 from .model import StandardForm
+from .registry import env_int
 from .result import SolveResult, SolveStatus
 from .simplex import SimplexSolver, _Prepared, _Structure
 
@@ -65,8 +65,8 @@ def lp_solver_for_size(
     models stay dense; 100+-site fleets go revised.
     """
     if cell_limit is None:
-        cell_limit = int(
-            os.environ.get("REPRO_DENSE_TABLEAU_CELLS", DENSE_TABLEAU_CELL_LIMIT)
+        cell_limit = env_int(
+            "REPRO_DENSE_TABLEAU_CELLS", DENSE_TABLEAU_CELL_LIMIT
         )
     m = n_rows + n_vars
     cells = m * (n_vars + m + 1)

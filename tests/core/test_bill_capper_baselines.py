@@ -185,6 +185,14 @@ class TestMinOnly:
         d = self._dispatcher(PriceMode.LOW, three_sites).solve(three_sites, 1e7)
         assert d.rate_for("C") == pytest.approx(1e7, rel=1e-6)
 
+    def test_tied_sites_fill_in_site_order(self):
+        # Two identical sites tie on price * slope: the greedy fill
+        # tops up the lower-index site first.
+        sites = [site_hour("A"), site_hour("B")]
+        d = self._dispatcher(PriceMode.AVG, sites).solve(sites, 3e7)
+        assert d.rate_for("A") == 2e7
+        assert d.rate_for("B") == pytest.approx(1e7, rel=1e-12)
+
     def test_missing_slope_rejected(self, three_sites):
         disp = MinOnlyDispatcher(price_mode=PriceMode.AVG, server_slopes={})
         with pytest.raises(KeyError):

@@ -148,7 +148,7 @@ class TestCostMinEquivalence:
             ref.predicted_cost, rel=EQUIV_REL
         )
 
-    def test_warm_multipliers_survive_hours(self):
+    def test_reused_solver_serves_each_load(self):
         rng = np.random.default_rng(17)
         hours = grouped_hours(rng, 40)
         solver = DecompositionSolver()

@@ -14,14 +14,22 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    CappingStep,
     CostMinimizer,
     DispatchModelCache,
     SiteHour,
     ThroughputMaximizer,
 )
-from repro.core.enum_kernel import MAX_COMBOS, solve_cost_min
+from repro.core.dispatch_model import _decision_from
+from repro.core.enum_kernel import (
+    MAX_COMBOS,
+    solve_cost_min,
+    solve_throughput_max,
+    to_decision,
+)
 from repro.datacenter import AffinePower
 from repro.powermarket import SteppedPricingPolicy
+from repro.solver import SolveResult, SolveStatus
 from repro.telemetry import Telemetry, use_telemetry
 
 MARGIN = 0.01
@@ -148,6 +156,78 @@ class TestThroughputMaxEquivalence:
         )
 
 
+def milp_decode(cache, kind, hours, won, step, extra=()):
+    """The MILP path's decode of the kernel's winning choices.
+
+    Packs them into the compiled entry's solution vector and reads that
+    with ``_decision_from``, as a MILP answer with the same choices is
+    read.
+    """
+    choices, choice_idx, lam = won
+    entry = cache._entry(kind, hours, MARGIN, extra)
+    x = np.zeros(entry.base.c.size)
+    for sc, sl, j, li in zip(choices, entry.slots, choice_idx, lam):
+        pos = sc.pos[j]
+        if pos < 0:
+            x[sl.yseg[-pos - 1]] = 1.0
+            continue
+        li = float(li)
+        p = sc.a * li + sc.b
+        x[sl.rate] = li
+        x[sl.active] = 1.0
+        x[sl.power] = p
+        x[sl.pseg[pos]] = p
+        x[sl.yseg[pos]] = 1.0
+    res = SolveResult(status=SolveStatus.OPTIMAL, objective=0.0, x=x)
+    return _decision_from(cache._rebound(entry, hours), res, step)
+
+
+class TestDecodeMatchesMilpDecode:
+    """The kernel's decision is, field for field, the MILP decode of the
+    same choices: the reported price is bill over power, not the
+    segment price, down to the last bit."""
+
+    def test_cost_min(self):
+        rng = np.random.default_rng(31)
+        cache = DispatchModelCache()
+        decoded = 0
+        for _ in range(150):
+            hours = random_hours(rng, int(rng.integers(2, 6)))
+            lam = float(rng.uniform(0.0, 0.95)) * sum(
+                sh.max_rate_rps for sh in hours
+            ) / 1e6
+            won = solve_cost_min(hours, lam, MARGIN)
+            if won is None:
+                continue
+            step = CappingStep.COST_MIN
+            assert to_decision(hours, *won, step) == milp_decode(
+                cache, "cost-min", hours, won, step
+            )
+            decoded += 1
+        assert decoded >= 100
+
+    def test_throughput_max(self):
+        rng = np.random.default_rng(32)
+        cache = DispatchModelCache()
+        weight = 1e-6
+        decoded = 0
+        for _ in range(150):
+            hours = random_hours(rng, int(rng.integers(2, 6)))
+            offered = float(rng.uniform(0.2, 0.95)) * sum(
+                sh.max_rate_rps for sh in hours
+            ) / 1e6
+            budget = float(rng.uniform(0.0, 4e3))
+            won = solve_throughput_max(hours, offered, budget, MARGIN, weight)
+            if won is None:
+                continue
+            step = CappingStep.THROUGHPUT_MAX
+            assert to_decision(hours, *won, step) == milp_decode(
+                cache, "throughput-max", hours, won, step, extra=(weight,)
+            )
+            decoded += 1
+        assert decoded >= 100
+
+
 class TestBailConditions:
     def test_combo_ceiling_bails(self):
         # 13 sites x 3+ choices each overflows MAX_COMBOS = 4096 only
@@ -168,11 +248,10 @@ class TestBailConditions:
     def test_infeasible_demand_is_milps_problem(self):
         rng = np.random.default_rng(12)
         hours = random_hours(rng, 2)
-        entry_stub = None
         # Demand beyond total capacity: the kernel must decline rather
         # than fabricate an answer.
         total = sum(sh.max_rate_rps for sh in hours) / 1e6
-        assert solve_cost_min(entry_stub, hours, total * 2.0, MARGIN) is None
+        assert solve_cost_min(hours, total * 2.0, MARGIN) is None
 
     def test_max_combos_is_sane(self):
         assert MAX_COMBOS >= 256

@@ -162,16 +162,35 @@ class TestDecisionEquivalence:
             assert d_hot.predicted_cost <= budget * (1 + 1e-9)
 
     def test_min_only_hot_matches_scipy(self):
-        hours0 = hours_at(0)
-        slopes = {sh.name: sh.affine.slope_mw_per_rps for sh in hours0}
+        # The paper-style hours, random fleets whose finite power caps
+        # bind the believed rate bound (one past NumPy's 64 array axes),
+        # and a zero-load hour.
+        rng = np.random.default_rng(41)
+        cases = [(hours_at(t), 0.6) for t in range(4)]
+        for n_sites in (2, 3, 4, 5, 5, 100):
+            fleet = [
+                site_hour(
+                    f"R{i}", float(rng.uniform(0.3e-6, 0.8e-6)),
+                    float(rng.uniform(5.0, 15.0)),
+                    float(rng.uniform(10.0, 150.0)),
+                    power_cap=float(rng.uniform(2.0, 15.0)),
+                )
+                for i in range(n_sites)
+            ]
+            cases.append((fleet, float(rng.uniform(0.1, 0.95))))
+        cases.append((hours_at(0), 0.0))
         for mode in PriceMode:
-            hot = MinOnlyDispatcher(price_mode=mode, server_slopes=slopes)
-            cold = MinOnlyDispatcher(
-                price_mode=mode, server_slopes=slopes, backend="scipy"
-            )
-            for t in range(4):
-                hours = hours_at(t)
-                lam = 0.6 * sum(sh.max_rate_rps for sh in hours)
+            for hours, frac in cases:
+                slopes = {sh.name: sh.affine.slope_mw_per_rps for sh in hours}
+                hot = MinOnlyDispatcher(price_mode=mode, server_slopes=slopes)
+                cold = MinOnlyDispatcher(
+                    price_mode=mode, server_slopes=slopes, backend="scipy"
+                )
+                believed = sum(
+                    min(sh.max_rate_rps, sh.power_cap_mw / slopes[sh.name])
+                    for sh in hours
+                )
+                lam = frac * believed
                 d_hot = hot.solve(hours, lam)
                 d_cold = cold.solve(hours, lam)
                 # Per-site splits can differ between engines when two
@@ -185,11 +204,46 @@ class TestDecisionEquivalence:
                 ) == pytest.approx(lam, rel=1e-9)
 
 
+class TestKernelBeforeCompile:
+    def test_kernel_answers_compile_nothing(self):
+        tel = Telemetry()
+        cache = DispatchModelCache()
+        hours = hours_at(0)
+        offered = 0.6 * sum(sh.max_rate_rps for sh in hours)
+        with use_telemetry(tel):
+            cache.solve_cost_min(hours, offered, MARGIN)
+            cache.solve_throughput_max(hours, offered, 2e3, MARGIN, 1e-6)
+        assert len(cache) == 0
+        reg = tel.registry
+        assert reg.counter("core.enum_kernel.solved").value == 2
+        assert reg.counter("core.model_cache.miss").value == 0
+
+    def test_peak_active_throughput_max_compiles_one_entry(self):
+        cache = DispatchModelCache()
+        hours = hours_at(0)
+        offered = 0.6 * sum(sh.max_rate_rps for sh in hours)
+        cache.solve_throughput_max(
+            hours, offered, 2e3, MARGIN, 1e-6, peak_mw=10.0, peak_penalty=500.0
+        )
+        assert len(cache) == 1
+
+    def test_kernel_off_compiles_one_entry(self):
+        cache = DispatchModelCache(use_enum_kernel=False)
+        hours = hours_at(0)
+        cache.solve_cost_min(
+            hours, 0.5 * sum(sh.max_rate_rps for sh in hours), MARGIN
+        )
+        assert len(cache) == 1
+
+
 class TestCacheBookkeeping:
     def test_hits_and_misses_counted(self):
         tel = Telemetry()
         with use_telemetry(tel):
-            hot = CostMinimizer()
+            # Only MILP lookups count; a kernel answer makes none.
+            hot = CostMinimizer(
+                model_cache=DispatchModelCache(use_enum_kernel=False)
+            )
             for t in range(5):
                 hours = hours_at(t)
                 hot.solve(hours, 0.5 * sum(sh.max_rate_rps for sh in hours))
@@ -237,12 +291,12 @@ class TestCacheBookkeeping:
             cold = CostMinimizer(backend="scipy")
             hours = hours_at(0)
             lam = 0.5 * sum(sh.max_rate_rps for sh in hours)
+            # The enumeration kernel would answer before any MILP is
+            # compiled, so force the branch-and-bound path for this test.
+            hot.model_cache = DispatchModelCache(use_enum_kernel=False)
             hot.solve(hours, lam)
             # Cripple the cached entry's own solver: every subsequent
-            # hot solve must transparently fall back to SciPy. The
-            # enumeration kernel would answer before the MILP is ever
-            # reached, so force the branch-and-bound path for this test.
-            hot.model_cache.use_enum_kernel = False
+            # hot solve must transparently fall back to SciPy.
             (entry,) = hot.model_cache._entries.values()
             entry.solver.max_nodes = 0
             d_hot = hot.solve(hours, lam)
@@ -303,49 +357,3 @@ class TestCacheConfig:
         hours = hours_at(0)
         hot.solve(hours, 0.5 * sum(sh.max_rate_rps for sh in hours))
         assert hot.model_cache.solver_backend == "simplex"
-
-
-class TestMinOnlyLpSelection:
-    def _dispatcher(self, **kwargs):
-        hours = hours_at(0)
-        return MinOnlyDispatcher(
-            price_mode=PriceMode.AVG,
-            server_slopes={sh.name: 0.4e-6 for sh in hours},
-            **kwargs,
-        ), hours
-
-    def test_named_engines_resolve(self):
-        from repro.core import MinOnlyCache
-        from repro.solver import RevisedSimplexSolver, SimplexSolver
-
-        assert type(MinOnlyCache(lp_solver="simplex")._solver) is SimplexSolver
-        assert type(
-            MinOnlyCache(lp_solver="revised-simplex")._solver
-        ) is RevisedSimplexSolver
-        engine = RevisedSimplexSolver()
-        assert MinOnlyCache(lp_solver=engine)._solver is engine
-
-    def test_unknown_name_rejected(self):
-        from repro.core import MinOnlyCache
-
-        with pytest.raises(ValueError, match="lp_solver"):
-            MinOnlyCache(lp_solver="scipy")
-
-    def test_revised_engine_matches_default(self):
-        plain, hours = self._dispatcher()
-        revised, _ = self._dispatcher(solver_backend="revised-simplex")
-        lam = 0.5 * sum(sh.max_rate_rps for sh in hours)
-        a = plain.solve(hours, lam)
-        b = revised.solve(hours, lam)
-        assert b.predicted_cost == pytest.approx(a.predicted_cost, rel=1e-8)
-
-    def test_auto_selection_at_compile(self):
-        from repro.core import MinOnlyCache
-        from repro.solver import SimplexSolver
-
-        cache = MinOnlyCache()
-        assert cache._solver is None
-        disp, hours = self._dispatcher(model_cache=cache)
-        disp.solve(hours, 0.5 * sum(sh.max_rate_rps for sh in hours))
-        # Three sites compile to a tiny LP: the dense engine wins.
-        assert type(cache._solver) is SimplexSolver

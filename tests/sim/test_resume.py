@@ -17,6 +17,7 @@ from repro.resilience import DegradationPolicy, FaultInjector, FaultSpec
 from repro.sim import Engine
 from repro.sim.engine import CHECKPOINT_VERSION
 from repro.sim.strategies import CappingStrategy
+from repro.telemetry import Telemetry, use_telemetry
 
 HOURS = 12
 
@@ -151,6 +152,31 @@ class TestResumeBitIdentity:
         engine.run("min-only-avg", hours=12, checkpoint_path=path)
         resumed = engine.resume(path, hours=16)
         assert_identical(resumed, reference)
+
+    def test_decomposed_fleet_resumes_identically(self, tmp_path, monkeypatch):
+        """The decomposition keeps no multiplier bracket across hours, so
+        a resumed decomposed fleet lands where the original did."""
+        monkeypatch.setenv("REPRO_DECOMP_AUTO_SITES", "10")
+        world = scaled_paper_world(12)
+        engine = Engine(world.sites, world.workload, world.mix)
+        # The night hours' spend scaled to the month: a budget that puts
+        # these hours in throughput-max and premium-only.
+        budget = engine.run("capping", hours=6).total_cost * world.hours / 6
+        tel = Telemetry()
+        with use_telemetry(tel):
+            reference = engine.run(
+                "capping", budgeter=world.budgeter(budget), hours=6
+            )
+        assert tel.registry.counter("core.decomposition.solved").value >= 1
+        for kill_at in (2, 4):
+            path = tmp_path / f"decomp{kill_at}.json"
+            engine.run(
+                "capping",
+                budgeter=world.budgeter(budget),
+                hours=kill_at,
+                checkpoint_path=path,
+            )
+            assert_identical(engine.resume(path, hours=6), reference)
 
     def test_resumed_run_keeps_checkpointing(self, engine, tmp_path):
         path = tmp_path / "run.json"

@@ -518,6 +518,31 @@ class TestSolversCommand:
         assert "lacks the milp capability" in capsys.readouterr().out
         assert "REPRO_SOLVER_BACKEND" not in os.environ
 
+    @pytest.mark.parametrize("value, message", [
+        ("nope", "unknown solver backend"),
+        ("scipy-lp", "lacks the milp capability"),
+    ])
+    def test_env_backend_checked_like_the_flag(
+        self, capsys, monkeypatch, value, message
+    ):
+        monkeypatch.setenv("REPRO_SOLVER_BACKEND", value)
+        assert main(["run", "--hours", "2"]) == 2
+        out = capsys.readouterr().out
+        assert "REPRO_SOLVER_BACKEND" in out and message in out
+
+    @pytest.mark.parametrize("var, value", [
+        ("REPRO_DECOMP_AUTO_SITES", "abc"),
+        ("REPRO_MODEL_CACHE_SIZE", "x"),
+        ("REPRO_DENSE_TABLEAU_CELLS", "-1"),
+    ])
+    def test_bad_integer_env_is_a_clean_error(
+        self, capsys, monkeypatch, var, value
+    ):
+        monkeypatch.delenv("REPRO_SOLVER_BACKEND", raising=False)
+        monkeypatch.setenv(var, value)
+        assert main(["run", "--hours", "2"]) == 2
+        assert f"{var} must be an integer" in capsys.readouterr().out
+
     def test_study_rejects_unknown_backend(self, capsys):
         assert main(
             ["study", "--seeds", "1", "--hours", "2", "--solver-backend", "nope"]
