@@ -167,6 +167,7 @@ class BranchBoundSolver:
 
         incumbent_x: np.ndarray | None = None
         incumbent_obj = math.inf
+        cutoff = math.inf  # incumbent_obj less its absolute gap
         best_bound = -math.inf
         nodes = 0
         limit_dropped = 0  # subtrees dropped on a non-INFEASIBLE LP failure
@@ -177,7 +178,7 @@ class BranchBoundSolver:
                 # Release this node's claim on the parent tableau; the
                 # last user may consume it in place instead of copying.
                 node.warm.refs -= 1
-            if node.bound >= incumbent_obj - self._abs_gap(incumbent_obj):
+            if node.bound >= cutoff:
                 continue  # pruned by bound
             if nodes >= self.max_nodes:
                 if incumbent_x is not None:
@@ -208,7 +209,7 @@ class BranchBoundSolver:
                 if res.status is not SolveStatus.INFEASIBLE:
                     limit_dropped += 1
                 continue  # infeasible (or unsolvable) subtree
-            if res.objective >= incumbent_obj - self._abs_gap(incumbent_obj):
+            if res.objective >= cutoff:
                 continue  # bound-pruned after solving
 
             frac_var = self._most_fractional(res.x, int_idx)
@@ -216,6 +217,7 @@ class BranchBoundSolver:
                 # Integral solution: new incumbent.
                 if res.objective < incumbent_obj:
                     incumbent_obj = res.objective
+                    cutoff = incumbent_obj - self._abs_gap(incumbent_obj)
                     incumbent_x = self._round_integers(res.x, int_idx)
                     stats.incumbents += 1
                 continue
@@ -286,14 +288,14 @@ class BranchBoundSolver:
 
     def _most_fractional(self, x: np.ndarray, int_idx: np.ndarray):
         vals = x[int_idx]
-        frac = np.abs(vals - np.round(vals))
+        frac = np.abs(vals - np.rint(vals))
         candidates = frac > self.int_tol
-        if not np.any(candidates):
+        if not candidates.any():
             return None
         # Distance of the fractional part from 0.5 — smaller is "more fractional".
         dist = np.abs((vals - np.floor(vals)) - 0.5)
-        dist[~candidates] = np.inf
-        return int(int_idx[int(np.argmin(dist))])
+        np.copyto(dist, np.inf, where=~candidates)
+        return int(int_idx[dist.argmin()])
 
     @staticmethod
     def _round_integers(x: np.ndarray, int_idx: np.ndarray) -> np.ndarray:

@@ -44,16 +44,12 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dger as _dger  # in-place BLAS rank-1 update
 
 from ..telemetry import get_telemetry
 from ..telemetry.instrument import record_solver_result
 from .model import StandardForm
 from .result import SolveResult, SolveStatus
-
-try:  # BLAS rank-1 update: in-place, no temporary allocation per pivot
-    from scipy.linalg.blas import dger as _dger
-except ImportError:  # pragma: no cover - scipy is a hard dependency
-    _dger = None
 
 __all__ = ["SimplexSolver", "WarmBasis"]
 
@@ -79,9 +75,10 @@ class _Structure:
 
     n_vars: int
     free: np.ndarray  # bool per var: lb == -inf (split into y+ - y-)
-    fin_ub: np.ndarray  # bool per var: finite ub (explicit bound row)
+    pattern: bytes  # free, then finite ub (explicit bound row), as bytes
     pos_col: np.ndarray
     neg_col: np.ndarray  # -1 where the variable has no negative part
+    split: np.ndarray  # indices of the free (split) variables
     bound_vars: np.ndarray  # original var index per bound row
     col_count: int
     n_ub: int
@@ -147,6 +144,7 @@ class _Prepared:
     shift: np.ndarray
     pos_col: np.ndarray  # column index of the positive part
     neg_col: np.ndarray  # column of negative part, -1 if none
+    split: np.ndarray  # indices of the variables with a negative part
     n_ub: int  # number of original <= rows (for dual extraction)
     n_eq: int  # number of original == rows
 
@@ -295,15 +293,16 @@ class SimplexSolver:
     # -- bound reduction --------------------------------------------------------
 
     def _structure_for(self, sf: StandardForm, tel) -> _Structure:
-        free = np.isneginf(sf.lb)
+        free = sf.lb == -_INF
         fin_ub = np.isfinite(sf.ub)
+        pattern = free.tobytes() + fin_ub.tobytes()
+        n_ub, n_eq = sf.A_ub.shape[0], sf.A_eq.shape[0]
         for k, st in enumerate(self._structures):
             if (
                 st.n_vars == sf.n_vars
-                and st.n_ub == sf.A_ub.shape[0]
-                and st.n_eq == sf.A_eq.shape[0]
-                and np.array_equal(st.free, free)
-                and np.array_equal(st.fin_ub, fin_ub)
+                and st.n_ub == n_ub
+                and st.n_eq == n_eq
+                and st.pattern == pattern
             ):
                 if st.src_c is sf.c and st.src_A_ub is sf.A_ub and st.src_A_eq is sf.A_eq:
                     # Identical arrays (branch-and-bound node): full reuse.
@@ -376,9 +375,10 @@ class SimplexSolver:
         return _Structure(
             n_vars=n,
             free=free,
-            fin_ub=fin_ub,
+            pattern=free.tobytes() + fin_ub.tobytes(),
             pos_col=pos_col,
             neg_col=neg_col,
+            split=split,
             bound_vars=bound_vars,
             col_count=col_count,
             n_ub=sf.A_ub.shape[0],
@@ -406,6 +406,7 @@ class SimplexSolver:
             shift=shift,
             pos_col=st.pos_col,
             neg_col=st.neg_col,
+            split=st.split,
             n_ub=st.n_ub,
             n_eq=st.n_eq,
         )
@@ -433,41 +434,46 @@ class SimplexSolver:
         get an extra artificial instead.
         """
         b0 = prep.b
-        is_eq = prep.is_eq
         m, n = prep.A.shape
-
+        nm = n + m
         flipped = b0 < 0
-        sign = np.where(flipped, -1.0, 1.0)
         art_rows = np.flatnonzero(flipped)
         n_extra = art_rows.size
-        ncols = n + m + n_extra
+        ncols = nm + n_extra
 
+        # Row i is [A_i | e_i | 0 | b_i]; a flipped row negates A_i, its
+        # identity entry and b_i, and starts basic on an extra column.
         T = np.zeros((m, ncols + 1))
-        T[:, :n] = prep.A * sign[:, None]
+        T[:, :n] = prep.A
         rows = np.arange(m)
-        T[rows, n + rows] = sign
+        T[rows, n + rows] = 1.0
+        T[:, -1] = b0
+        basis = n + rows
         if n_extra:
-            T[art_rows, n + m + np.arange(n_extra)] = 1.0
-        T[:, -1] = b0 * sign
-
-        basis = n + rows.copy()
-        if n_extra:
-            basis[art_rows] = n + m + np.arange(n_extra)
+            extra = np.arange(nm, ncols)
+            T[art_rows, :n] *= -1.0
+            T[art_rows, n + art_rows] = -1.0
+            T[art_rows, -1] *= -1.0
+            T[art_rows, extra] = 1.0
+            basis[art_rows] = extra
 
         # Phase-1 artificials: identity columns of unflipped eq rows plus
         # every extra column. Flipped eq identity columns are barred in
         # both phases (they exist only so B^{-1} can be read off).
+        is_eq = prep.is_eq
         art_set = np.zeros(ncols, dtype=bool)
-        art_set[n + np.flatnonzero(is_eq & ~flipped)] = True
-        art_set[n + m :] = True
+        art_set[n:nm] = is_eq & ~flipped
+        art_set[nm:] = True
         barred = np.zeros(ncols, dtype=bool)
-        barred[n + np.flatnonzero(is_eq & flipped)] = True
+        barred[n:nm] = is_eq & flipped
+        # Phase 2 admits neither; the identity columns of <= rows are
+        # genuine slacks and stay allowed.
+        allow = ~(art_set | barred)
 
         total_iters = 0
 
         if art_set.any():
-            c1 = np.zeros(ncols)
-            c1[art_set] = 1.0
+            c1 = art_set.astype(np.float64)
             status, iters = self._optimize(T, basis, c1, allow=~barred)
             total_iters += iters
             if status is not SolveStatus.OPTIMAL:
@@ -477,10 +483,7 @@ class SimplexSolver:
                 return SolveStatus.INFEASIBLE, None, None, total_iters, None
             # Pivot remaining artificials out of the basis when possible.
             for i in np.flatnonzero(art_set[basis]):
-                row = T[i, :ncols]
-                candidates = np.flatnonzero(
-                    (np.abs(row) > self.tol) & ~art_set & ~barred
-                )
+                candidates = np.flatnonzero((np.abs(T[i, :ncols]) > self.tol) & allow)
                 if candidates.size:
                     self._pivot(T, basis, int(i), int(candidates[0]))
                 # Degenerate redundant row: artificial stays basic at 0.
@@ -488,9 +491,6 @@ class SimplexSolver:
         # Phase 2: true objective; artificial columns are barred from entering.
         c2 = np.zeros(ncols)
         c2[:n] = prep.c
-        # Identity columns of eq rows are artificials too (art_set); the
-        # identity columns of ineq rows are genuine slacks and stay allowed.
-        allow = ~(art_set | barred)
         status, iters = self._optimize(T, basis, c2, allow)
         total_iters += iters
         if status is not SolveStatus.OPTIMAL:
@@ -502,12 +502,12 @@ class SimplexSolver:
 
         # Dual extraction: the identity block holds B^{-1} in canonical
         # row orientation, so y_row = c_B @ B^{-1} is one slice.
-        duals = c2[basis] @ T[:, n : n + m]
+        duals = c2[basis] @ T[:, n:nm]
         state = _TableauState(
             T=T,
             basis=basis,
             n_structural=n,
-            export_ok=not bool(np.any(basis >= n + m)),
+            export_ok=not (basis >= nm).any(),
         )
         return SolveStatus.OPTIMAL, y, duals, total_iters, state
 
@@ -562,7 +562,7 @@ class SimplexSolver:
         c2 = np.zeros(n + m)
         c2[:n] = prep.c
         allow = np.ones(n + m, dtype=bool)
-        allow[n + np.flatnonzero(prep.is_eq)] = False
+        allow[n:] = ~prep.is_eq
         feas_tol = self.tol * max(1.0, float(np.abs(prep.b).max(initial=0.0)))
 
         if float(T[:, -1].min(initial=0.0)) >= -feas_tol:
@@ -600,6 +600,16 @@ class SimplexSolver:
         state = _TableauState(T=T, basis=basis, n_structural=n, export_ok=True)
         return SolveStatus.OPTIMAL, y_full[:n], duals, iters, state
 
+    # The pivot loops below keep their work arrays (the eligibility mask,
+    # the masked pricing row, the ratio buffer) across pivots and update
+    # them in place, so one pivot is a handful of NumPy calls around the
+    # BLAS rank-1 update. The arithmetic is fixed: the row scale, the
+    # ``dger`` update, the price update ``r -= rj * T[i, :-1]`` and the
+    # full re-price every ``_REPRICE_EVERY`` pivots, in that order. The
+    # selection rules are fixed too: Dantzig's first minimum reduced
+    # cost and the first minimum ratio, then Bland's smallest index once
+    # ``bland_after`` pivots have run.
+
     def _dual_optimize(self, T, basis, c, allow, feas_tol):
         """Dual simplex pivots: restore primal feasibility, keep optimality.
 
@@ -607,15 +617,24 @@ class SimplexSolver:
         (reduced costs stay non-negative); no eligible column in a
         violated row proves primal infeasibility.
         """
-        ncols = T.shape[1] - 1
+        tol, max_iters, bland_after = self.tol, self.max_iters, self.bland_after
+        pivot = self._pivot
+        body, xB = T[:, :-1], T[:, -1]
+        r = c - c[basis] @ body
+        elig = allow.copy()  # columns that may enter: allowed, non-basic
+        elig[basis] = False
+        cand = np.empty_like(elig)
+        num = np.empty_like(r)
+        # The ratio of a candidate k is max(r_k, 0) / -row_k. It is kept
+        # negated (max(r_k, 0) / row_k, -inf off the candidates), so the
+        # first minimum ratio is the first maximum here.
+        neg_ratios = np.empty_like(r)
         iters = 0
-        r = c - c[basis] @ T[:, :-1]
         while True:
-            if iters >= self.max_iters:
+            if iters >= max_iters:
                 return SolveStatus.ITERATION_LIMIT, iters
-            xB = T[:, -1]
-            if iters < self.bland_after:
-                i = int(np.argmin(xB))
+            if iters < bland_after:
+                i = int(xB.argmin())
                 if xB[i] >= -feas_tol:
                     return SolveStatus.OPTIMAL, iters
             else:
@@ -623,88 +642,105 @@ class SimplexSolver:
                 if negs.size == 0:
                     return SolveStatus.OPTIMAL, iters
                 i = int(min(negs, key=lambda k: basis[k]))  # Bland-style
-            row = T[i, :-1]
-            cand = (row < -self.tol) & allow
-            cand[basis] = False
-            if not cand.any():
+            row = body[i]
+            np.less(row, -tol, out=cand)
+            cand &= elig
+            np.maximum(r, 0.0, out=num)
+            neg_ratios.fill(-_INF)
+            np.divide(num, row, out=neg_ratios, where=cand)
+            j = int(neg_ratios.argmax())
+            if neg_ratios[j] == -_INF and not cand.any():
                 return SolveStatus.INFEASIBLE, iters
-            ratios = np.full(ncols, _INF)
-            ratios[cand] = np.maximum(r[cand], 0.0) / -row[cand]
-            j = int(np.argmin(ratios))
-            if iters >= self.bland_after:
+            if iters >= bland_after:
+                ratios = -neg_ratios
                 best = ratios[j]
-                ties = np.flatnonzero(ratios <= best + self.tol * (1 + abs(best)))
+                ties = np.flatnonzero(ratios <= best + tol * (1 + abs(best)))
                 j = int(ties.min())
             rj = r[j]
-            self._pivot(T, basis, i, j)
+            elig[basis[i]] = allow[basis[i]]
+            elig[j] = False
+            pivot(T, basis, i, j)
             iters += 1
             # Price update: the pivoted row re-prices every column at once.
             if iters % _REPRICE_EVERY:
-                r -= rj * T[i, :-1]
+                r -= rj * body[i]
                 r[j] = 0.0
             else:  # periodic full refresh against accumulated drift
-                r = c - c[basis] @ T[:, :-1]
+                r = c - c[basis] @ body
 
     def _optimize(self, T, basis, c, allow):
         """Run primal simplex pivots on tableau ``T`` for objective ``c``."""
+        tol, max_iters, bland_after = self.tol, self.max_iters, self.bland_after
+        pivot = self._pivot
         m = T.shape[0]
-        iters = 0
+        body, rhs = T[:, :-1], T[:, -1]
         # Reduced costs are maintained incrementally (one rank-1 price
         # update per pivot) with a periodic full refresh; the selection
         # works on a masked copy so the true values survive the pivot.
-        r = c - c[basis] @ T[:, :-1]
+        r = c - c[basis] @ body
+        elig = allow.copy()  # barred and basic columns never enter
+        elig[basis] = False
+        rw = np.full_like(r, _INF)  # r on eligible columns, inf elsewhere
+        positive = np.empty(m, dtype=bool)
+        ratios = np.empty_like(rhs)
+        iters = 0
         while True:
-            if iters >= self.max_iters:
+            if iters >= max_iters:
                 return SolveStatus.ITERATION_LIMIT, iters
-            rw = np.where(allow, r, _INF)  # barred columns never enter
-            rw[basis] = _INF  # basic columns have r==0; exclude for speed
-            if iters < self.bland_after:
-                j = int(np.argmin(rw))
-                if rw[j] >= -self.tol:
+            np.copyto(rw, r, where=elig)
+            if iters < bland_after:
+                j = int(rw.argmin())
+                if rw[j] >= -tol:
                     return SolveStatus.OPTIMAL, iters
             else:
-                negs = np.flatnonzero(rw < -self.tol)
+                negs = np.flatnonzero(rw < -tol)
                 if negs.size == 0:
                     return SolveStatus.OPTIMAL, iters
                 j = int(negs[0])  # Bland: smallest index
             col = T[:, j]
-            positive = col > self.tol
-            if not np.any(positive):
-                return SolveStatus.UNBOUNDED, iters
-            ratios = np.full(m, _INF)
-            ratios[positive] = T[positive, -1] / col[positive]
-            i = int(np.argmin(ratios))
-            if iters >= self.bland_after:
+            np.greater(col, tol, out=positive)
+            ratios.fill(_INF)
+            np.divide(rhs, col, out=ratios, where=positive)
+            i = int(ratios.argmin()) if m else 0
+            if m == 0 or (ratios[i] == _INF and not positive.any()):
+                return SolveStatus.UNBOUNDED, iters  # no row bounds column j
+            if iters >= bland_after:
                 # Bland tie-break: leaving variable with the smallest index.
                 best = ratios[i]
-                ties = np.flatnonzero(np.abs(ratios - best) <= self.tol * (1 + abs(best)))
+                ties = np.flatnonzero(np.abs(ratios - best) <= tol * (1 + abs(best)))
                 i = int(min(ties, key=lambda k: basis[k]))
             rj = r[j]
-            self._pivot(T, basis, i, j)
+            elig[basis[i]] = allow[basis[i]]
+            elig[j] = False
+            rw[j] = _INF
+            pivot(T, basis, i, j)
             iters += 1
             if iters % _REPRICE_EVERY:
-                r -= rj * T[i, :-1]
+                r -= rj * body[i]
                 r[j] = 0.0
             else:
-                r = c - c[basis] @ T[:, :-1]
+                r = c - c[basis] @ body
 
     @staticmethod
     def _pivot(T: np.ndarray, basis: np.ndarray, i: int, j: int) -> None:
-        """Pivot the tableau on element (i, j) with one rank-1 update."""
-        T[i] /= T[i, j]
-        col = T[:, j].copy()
-        col[i] = 0.0
-        # T -= outer(col, T[i]) updates every other row at once. BLAS
-        # ``dger`` does the rank-1 update in place (T.T of a C-ordered
-        # tableau is F-ordered, which is what dger requires), avoiding a
-        # tableau-sized temporary on every pivot.
-        if _dger is not None and T.flags.c_contiguous:
-            _dger(-1.0, T[i], col, a=T.T, overwrite_a=1)
-        else:
-            T -= np.outer(col, T[i])
+        """Pivot the tableau on element (i, j) with one rank-1 update.
+
+        ``T -= outer(col, T[i])`` updates every other row at once. BLAS
+        ``dger`` does it in place on ``T.T``, which is F-ordered because
+        every tableau is C-ordered; on any other layout it would update
+        a copy. ``dger`` rounds each element once (a fused multiply-add)
+        where a NumPy outer product and a subtraction round twice, so
+        the two do not give the same bits.
+        """
+        row = T[i]
+        row /= row[j]
+        col = T[:, j]
+        y = col.copy()
+        y[i] = 0.0
+        _dger(-1.0, row, y, a=T.T, overwrite_a=1)
         # Clean numerical fuzz in the pivot column.
-        T[:, j] = 0.0
-        T[i, j] = 1.0
+        col.fill(0.0)
+        row[j] = 1.0
         basis[i] = j
 
     # -- sensitivity ranging ----------------------------------------------------------
@@ -737,17 +773,19 @@ class SimplexSolver:
 
     def _recover(self, prep: _Prepared, y: np.ndarray, sf: StandardForm) -> np.ndarray:
         x = prep.shift + y[prep.pos_col]
-        split = prep.neg_col >= 0
-        if split.any():
-            x[split] -= y[prep.neg_col[split]]
+        if prep.split.size:
+            x[prep.split] -= y[prep.neg_col[prep.split]]
         # Snap values within tolerance onto their bounds. Vertex solutions
         # put variables exactly at bounds in exact arithmetic; the float
         # epsilon left by the shift/split arithmetic must not leak into
         # discrete downstream consumers (a 1e-8 rps "dispatch" would
         # still provision a server).
         snap = self.tol * np.maximum(1.0, np.abs(x))
-        at_lb = np.isfinite(sf.lb) & (np.abs(x - sf.lb) <= snap)
-        x[at_lb] = sf.lb[at_lb]
-        at_ub = np.isfinite(sf.ub) & (np.abs(x - sf.ub) <= snap) & ~at_lb
-        x[at_ub] = sf.ub[at_ub]
+        at_lb = np.isfinite(sf.lb)
+        at_lb &= np.abs(x - sf.lb) <= snap
+        np.copyto(x, sf.lb, where=at_lb)
+        at_ub = np.isfinite(sf.ub)
+        at_ub &= np.abs(x - sf.ub) <= snap
+        at_ub &= ~at_lb
+        np.copyto(x, sf.ub, where=at_ub)
         return x
