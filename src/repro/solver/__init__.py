@@ -37,7 +37,6 @@ from .model import (
 from .cuts import CoverCut, apply_cuts, find_cover_cuts
 from .fallback import FallbackBackend
 from .lp_format import model_to_lp_string, parse_lp_string, read_lp, write_lp
-from .presolve import PresolveReport, PresolvingBackend, presolve
 from .registry import (
     BackendSpec,
     available_backends,
@@ -82,9 +81,6 @@ __all__ = [
     "InfeasibleError",
     "UnboundedError",
     "SolverLimitError",
-    "presolve",
-    "PresolveReport",
-    "PresolvingBackend",
     "FallbackBackend",
     "CoverCut",
     "find_cover_cuts",

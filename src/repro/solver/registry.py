@@ -1,9 +1,9 @@
 """Pluggable solver-backend registry (the pyomo ``SolverFactory`` pattern).
 
 Every LP/MILP engine the repo can run — SciPy/HiGHS, the own
-branch-and-bound over either simplex, the presolving and fallback-chain
-wrappers, and the dual-decomposition dispatch path — is a named factory
-here, exactly as dispatch strategies are named factories in
+branch-and-bound over either simplex, the fallback-chain wrapper, and
+the dual-decomposition dispatch path — is a named factory here,
+exactly as dispatch strategies are named factories in
 :mod:`repro.sim.registry`. All entry points (``Model.solve``, the
 compiled-model caches, ``repro run --solver-backend``, ``repro
 serve --solver-backend``, ``repro solvers``) resolve backends through
@@ -117,11 +117,6 @@ def _ensure_builtins() -> None:
 
         return BranchBoundSolver(lp_solver=RevisedSimplexSolver(), **kw)
 
-    def presolve_factory(**kw):
-        from .presolve import PresolvingBackend
-
-        return PresolvingBackend(**kw)
-
     def fallback_factory(**kw):
         from .branch_bound import BranchBoundSolver
         from .fallback import FallbackBackend
@@ -155,10 +150,6 @@ def _ensure_builtins() -> None:
         warm_start=True, sparse=True,
         description="own B&B over the sparse-pricing revised simplex "
         "(factorized basis; built for 100+ site fleets)",
-    )
-    register_backend(
-        "presolve", presolve_factory, milp=True,
-        description="bound-tightening presolve in front of HiGHS",
     )
     register_backend(
         "fallback", fallback_factory, milp=True,

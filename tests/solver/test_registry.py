@@ -18,7 +18,7 @@ class TestBuiltins:
         names = available_backends()
         for expected in (
             "scipy", "scipy-lp", "branch-bound", "simplex",
-            "revised-simplex", "presolve", "fallback", "decomposition",
+            "revised-simplex", "fallback", "decomposition",
         ):
             assert expected in names
         assert list(names) == sorted(names)
@@ -38,7 +38,10 @@ class TestBuiltins:
         y = m.var("y", ub=3.0)
         m.add(x + y <= 5.0)
         m.maximize(2.0 * x + y)
-        for name in ("scipy", "branch-bound", "simplex", "revised-simplex"):
+        for name in (
+            "scipy", "scipy-lp", "branch-bound", "simplex",
+            "revised-simplex", "fallback",
+        ):
             res = m.solve(backend=get_backend(name), raise_on_failure=True)
             assert res.objective == pytest.approx(9.0), name
 
