@@ -199,7 +199,13 @@ class SimulationResult:
 
     @property
     def hourly_costs(self) -> np.ndarray:
+        """Each hour's energy cost (``realized_cost``), $."""
         return self._series(lambda h: h.realized_cost)
+
+    @property
+    def hourly_bills(self) -> np.ndarray:
+        """Each hour's full bill across tariff components (``settled_cost``), $."""
+        return self._series(lambda h: h.settled_cost)
 
     @property
     def hourly_budgets(self) -> np.ndarray:
@@ -229,8 +235,12 @@ class SimulationResult:
 
     @property
     def total_cost(self) -> float:
-        """The monthly electricity bill, $."""
-        return float(self.hourly_costs.sum())
+        """The monthly electricity bill, $: every hour's settled bill.
+
+        Under the energy-only tariff each hour settles at its
+        ``realized_cost`` bit for bit, so this is the energy cost.
+        """
+        return float(self.hourly_bills.sum())
 
     @property
     def premium_throughput_fraction(self) -> float:
@@ -270,7 +280,7 @@ class SimulationResult:
         """A flat dict of the headline metrics (for reports/benches)."""
         return {
             "total_cost": self.total_cost,
-            "mean_hourly_cost": float(self.hourly_costs.mean()) if self.hours else 0.0,
+            "mean_hourly_cost": float(self.hourly_bills.mean()) if self.hours else 0.0,
             "premium_throughput": self.premium_throughput_fraction,
             "ordinary_throughput": self.ordinary_throughput_fraction,
             "hours_over_budget": float(self.hours_over_budget),

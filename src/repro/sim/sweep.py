@@ -276,7 +276,7 @@ def closedloop_metric(scenario: Mapping[str, Any], payload: Any = None):
     hours = len(result.hours)
     return {
         "hours": hours,
-        "total_cost": float(sum(h.realized_cost for h in result.hours)),
+        "total_cost": float(sum(h.settled_cost for h in result.hours)),
         "iterations": total("closedloop.iterations"),
         "mean_iterations": total("closedloop.iterations") / max(1, hours),
         "converged_hours": total("closedloop.converged"),

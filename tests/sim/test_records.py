@@ -99,6 +99,23 @@ class TestSimulationResult:
         assert r.hourly_costs.tolist() == [100.0, 101.0, 102.0, 103.0, 104.0]
         assert r.total_cost == pytest.approx(510.0)
 
+    def test_total_cost_is_the_settled_bill(self):
+        r = SimulationResult("t")
+        for i, demand in enumerate((0.0, 40.0, 7.5)):
+            r.append(dataclasses.replace(
+                make_hour(hour=i, realized=100.0 + i),
+                line_items=(
+                    LineItem("energy", 100.0 + i),
+                    LineItem("demand", demand),
+                ),
+            ))
+        assert r.hourly_costs.tolist() == [100.0, 101.0, 102.0]
+        assert r.hourly_bills.tolist() == [100.0, 141.0, 109.5]
+        assert r.total_cost == 350.5
+        assert r.summary()["total_cost"] == 350.5
+        assert r.summary()["mean_hourly_cost"] == pytest.approx(350.5 / 3)
+        assert r.budget_utilization(701.0) == 0.5
+
     def test_throughput_fractions(self):
         r = SimulationResult("t")
         r.append(make_hour(served_p=80.0, served_o=10.0))
