@@ -156,9 +156,10 @@ class DcOpf:
     grid:
         The transmission network.
     backend:
-        Any LP backend exposing equality duals (default: HiGHS
-        ``linprog``). The pure simplex engine may be passed for a fully
-        self-contained stack.
+        Any LP backend exposing equality duals (default:
+        :class:`~repro.solver.ScipyLpBackend`, HiGHS called directly).
+        The pure simplex engine may be passed for a fully self-contained
+        stack.
     """
 
     def __init__(self, grid: Grid, backend=None):

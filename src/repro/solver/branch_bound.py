@@ -84,7 +84,8 @@ class BranchBoundSolver:
     Parameters
     ----------
     lp_solver:
-        LP engine used for node relaxations (default HiGHS ``linprog``).
+        LP engine used for node relaxations (default HiGHS, through
+        :class:`~repro.solver.scipy_backend.ScipyLpBackend`).
     int_tol:
         A value within ``int_tol`` of an integer counts as integral.
     rel_gap:

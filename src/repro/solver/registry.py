@@ -131,11 +131,11 @@ def _ensure_builtins() -> None:
 
     register_backend(
         "scipy", scipy_factory, milp=True,
-        description="SciPy HiGHS (milp/linprog); the external reference",
+        description="SciPy HiGHS (milp; LPs as scipy-lp); the external reference",
     )
     register_backend(
         "scipy-lp", scipy_lp_factory,
-        description="SciPy HiGHS linprog; LP relaxations with duals",
+        description="HiGHS LP via SciPy's bundled bindings; LPs with duals",
     )
     register_backend(
         "branch-bound", branch_bound_factory, milp=True, warm_start=True,

@@ -4,8 +4,8 @@ This is the self-contained LP engine of the reproduction: it solves the
 compiled :class:`~repro.solver.model.StandardForm` (ignoring
 integrality — integrality is enforced by
 :class:`~repro.solver.branch_bound.BranchBoundSolver` on top) without
-any external solver. ``scipy.optimize.linprog`` (HiGHS) is available as
-a faster drop-in via :class:`~repro.solver.scipy_backend.ScipyLpBackend`;
+any external solver. HiGHS is available as a faster drop-in via
+:class:`~repro.solver.scipy_backend.ScipyLpBackend`;
 the two are cross-checked in the test suite on randomized LPs.
 
 Implementation notes
