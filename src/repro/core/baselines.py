@@ -19,7 +19,8 @@ With constant prices and affine power, the baseline's problem is an LP:
 minimize ``sum price_i slope_i lam_i`` subject to ``sum lam_i = L`` and
 ``0 <= lam_i <= believed_max_i``. That is the enumeration kernel's
 boxed transportation problem with one choice per site, so the default
-path answers it with :func:`~repro.core.enum_kernel.cost_min_fill`:
+path answers it with :func:`~repro.core.enum_kernel.cost_min_fill`
+over a one-combination :class:`~repro.core.enum_kernel.ComboTable`:
 sites fill in ascending order of marginal price, tied sites in site
 order. The *realized* bill is later evaluated by the simulator against
 the true stepped prices and the full power model — which is where the
@@ -37,7 +38,7 @@ from ..datacenter import DataCenter, WATTS_PER_MW
 from ..solver import InfeasibleError, Model, quicksum
 from .allocation import Allocation, CappingStep, HourlyDecision
 from .dispatch_model import RATE_SCALE
-from .enum_kernel import SiteChoices, combo_index, cost_min_fill, counted
+from .enum_kernel import ComboTable, SiteChoices, cost_min_fill, counted
 from .site import SiteHour
 
 __all__ = ["PriceMode", "MinOnlyDispatcher"]
@@ -183,18 +184,21 @@ class MinOnlyDispatcher:
         for sh in site_hours:
             slope = self.server_slopes[sh.name]
             price = self.price_mode.constant_price(sh)
+            # Rows: lo, hi, m, f, price of the one choice.
             sites.append(SiteChoices(
                 a=slope * RATE_SCALE,
                 b=0.0,
-                lo=np.zeros(1),
-                hi=np.array([self._believed_max_rps(sh) / RATE_SCALE]),
-                m=np.array([price * slope * RATE_SCALE]),
-                f=np.zeros(1),
-                price=np.array([price]),
+                vals=np.array([
+                    [0.0],
+                    [self._believed_max_rps(sh) / RATE_SCALE],
+                    [price * slope * RATE_SCALE],
+                    [0.0],
+                    [price],
+                ], dtype=float),
                 pos=(0,),
             ))
         fill = counted(
-            cost_min_fill, sites, combo_index(sites),
+            cost_min_fill, ComboTable.build(sites),
             total_rate_rps / RATE_SCALE,
         )
         if fill is None:

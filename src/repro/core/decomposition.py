@@ -18,10 +18,12 @@ a few hundred sites — into:
    hour's choices alone, so the solver keeps no state between solves.
 2. **Primal recovery** — the dual responses are completed into a
    feasible dispatch, then *re-optimized exactly per market region*
-   with the entry-free enumeration greedy
-   (:func:`~repro.core.enum_kernel.cost_min_fill` /
-   :func:`~repro.core.enum_kernel.throughput_max_fill`), each region
-   sized to keep its choice product under the combination cap.
+   with the entry-free enumeration greedy: one
+   :class:`~repro.core.enum_kernel.ComboTable` per region per solve,
+   filled many times (:func:`~repro.core.enum_kernel.cost_min_fill` /
+   :func:`~repro.core.enum_kernel.throughput_max_fill`) by the
+   bisection, transfer and water-fill loops below, each region sized
+   to keep its choice product under the combination cap.
 3. **Gap check** — the dual value bounds the monolithic optimum, so
    ``|primal - dual| <= gap_tol * |primal|`` *proves* the recovered
    dispatch is within tolerance of the monolithic answer. On failure
@@ -49,8 +51,8 @@ from .allocation import CappingStep, HourlyDecision
 from .dispatch_model import RATE_SCALE
 from .enum_kernel import (
     MAX_COMBOS,
+    ComboTable,
     SiteChoices,
-    combo_index,
     cost_min_fill,
     site_choices,
     throughput_max_fill,
@@ -401,9 +403,11 @@ class DecompositionSolver:
             site_hours, choices, self.max_region_combos
         )
         n_r = len(regions)
-        subs = [[choices[i] for i in reg] for reg in regions]
-        idxs = [combo_index(sub, self.max_region_combos) for sub in subs]
-        if any(idx is None for idx in idxs):
+        tables = [
+            ComboTable.build([choices[i] for i in reg], self.max_region_combos)
+            for reg in regions
+        ]
+        if any(table is None for table in tables):
             return None
         choice_idx = j.astype(np.int64)
         lam = lam.copy()
@@ -415,10 +419,10 @@ class DecompositionSolver:
             targets[r] = target
             cost_r[r] = cost_f
             lam[regions[r]] = lam_f
-            choice_idx[regions[r]] = idxs[r][best]
+            choice_idx[regions[r]] = tables[r].idx[best]
 
         for r in range(n_r):
-            fill = cost_min_fill(subs[r], idxs[r], float(targets[r]))
+            fill = cost_min_fill(tables[r], float(targets[r]))
             if fill is None:
                 return None
             apply(r, float(targets[r]), fill)
@@ -439,11 +443,11 @@ class DecompositionSolver:
             for r in range(n_r):
                 t_down = float(targets[r]) - delta
                 if t_down >= -_FEAS_TOL:
-                    p = cost_min_fill(subs[r], idxs[r], max(t_down, 0.0))
+                    p = cost_min_fill(tables[r], max(t_down, 0.0))
                     if p is not None:
                         saves[r] = float(cost_r[r]) - p[2]
                         shed_fill[r] = p
-                p = cost_min_fill(subs[r], idxs[r], float(targets[r]) + delta)
+                p = cost_min_fill(tables[r], float(targets[r]) + delta)
                 if p is not None:
                     adds[r] = p[2] - float(cost_r[r])
                     grow_fill[r] = p
@@ -666,9 +670,11 @@ class DecompositionSolver:
             site_hours, choices, self.max_region_combos
         )
         n_r = max(len(regions), 1)
-        subs = [[choices[i] for i in reg] for reg in regions]
-        idxs = [combo_index(sub, self.max_region_combos) for sub in subs]
-        if any(idx is None for idx in idxs):
+        tables = [
+            ComboTable.build([choices[i] for i in reg], self.max_region_combos)
+            for reg in regions
+        ]
+        if any(table is None for table in tables):
             return None
         targets = np.array([float(lam[reg].sum()) for reg in regions])
         budgets = np.array([float(cost_site[reg].sum()) for reg in regions])
@@ -683,9 +689,7 @@ class DecompositionSolver:
         d_tol = max(1e-9 * D, 1e-9)
 
         def probe(r: int, target: float, budget: float):
-            return throughput_max_fill(
-                subs[r], idxs[r], target, budget, weight
-            )
+            return throughput_max_fill(tables[r], target, budget, weight)
 
         def refill(r: int, target: float, budget: float) -> bool:
             fill = probe(r, target, budget)
@@ -696,7 +700,7 @@ class DecompositionSolver:
             cost_r[r] = cost_f
             value_r[r] = served_f - weight * cost_f
             lam_out[regions[r]] = lam_f
-            choice_idx[regions[r]] = idxs[r][best]
+            choice_idx[regions[r]] = tables[r].idx[best]
             return True
 
         for r in range(n_r):

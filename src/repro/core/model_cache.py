@@ -3,7 +3,11 @@ compiled-structure MILP cache.
 
 Each solve first asks the enumeration kernel
 (:mod:`repro.core.enum_kernel`), which answers separable hours exactly
-from the site hours alone. Only when it bails is a MILP looked up.
+from the site hours alone. Only when it bails is a MILP looked up. The
+kernel's combination table comes from one process-wide memo keyed by
+the site hours' values (:func:`~repro.core.enum_kernel.table_for`),
+which the cost-min and throughput-max caches share; a hit returns what
+a rebuild would.
 
 The MILP skeleton built by :func:`~repro.core.dispatch_model.
 build_dispatch_model` has identical *structure* every hour for a fixed
