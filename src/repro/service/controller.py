@@ -276,6 +276,9 @@ class ControlLoop:
         # Observed state (what the dispatcher sees).
         self.lambda_now = 0.0
         self.price_scale: dict[str, float] = {}
+        # The open hour's snapshots through ``price_scale``; derived
+        # state, dropped whenever either moves and never checkpointed.
+        self._view: list | None = None
         # Dispatch bookkeeping.
         self.decisions = 0
         self.current_record: HourRecord | None = None
@@ -328,6 +331,7 @@ class ControlLoop:
             self.lambda_now = float(tick.value)
         else:  # "price" — validated by Tick
             self.price_scale[tick.site] = float(tick.value)
+            self._view = None
         reason = self._trigger_reason(tick)
         if reason is None:
             return ()
@@ -406,15 +410,26 @@ class ControlLoop:
     # -- dispatch -----------------------------------------------------------
 
     def _observed_site_hours(self):
-        """This hour's snapshots through the price-feed scale lens."""
-        base = self.engine._site_hours(self.hour)
-        if not self.price_scale:
-            return base
-        return [
-            sh if (s := self.price_scale.get(sh.name, 1.0)) == 1.0
-            else dataclasses.replace(sh, background_mw=sh.background_mw * s)
-            for sh in base
-        ]
+        """This hour's snapshots through the price-feed scale lens.
+
+        Built once per hour and price-scale state: every re-dispatch
+        on the same view gets the same list, whose identical snapshots
+        the kernel's table memo then matches without comparing values.
+        """
+        view = self._view
+        if view is not None:
+            return view
+        view = self.engine._site_hours(self.hour)
+        if self.price_scale:
+            view = [
+                sh if (s := self.price_scale.get(sh.name, 1.0)) == 1.0
+                else dataclasses.replace(
+                    sh, background_mw=sh.background_mw * s
+                )
+                for sh in view
+            ]
+        self._view = view
+        return view
 
     def _dispatch(self, tick: Tick, reason: str) -> DecisionEvent:
         tel = get_telemetry()
@@ -478,6 +493,7 @@ class ControlLoop:
 
     def _begin_hour(self, hour: int) -> None:
         self.hour = hour
+        self._view = None
         self._hour_open = True
         self._hour_decisions = 0
         self._segment_start = hour * _HOUR_S
@@ -591,6 +607,7 @@ class ControlLoop:
         )
         self.lambda_now = float(data["lambda_now"])
         self.price_scale = dict(data["price_scale"])
+        self._view = None
         self.decisions = int(data["decisions"])
         self.hour_summaries = list(data["hour_summaries"])
         self.current_record = (
