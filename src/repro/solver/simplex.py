@@ -41,7 +41,7 @@ Implementation notes
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.blas import dger as _dger  # in-place BLAS rank-1 update
@@ -130,6 +130,9 @@ class _TableauState:
     basis: np.ndarray
     n_structural: int
     export_ok: bool
+    #: Rows of the full LP that ``T`` holds (None: all of them); the
+    #: others were ``+inf`` rows, dropped before the tableau was built.
+    kept: np.ndarray | None = None
 
 
 @dataclass
@@ -434,6 +437,9 @@ class SimplexSolver:
         get an extra artificial instead.
         """
         b0 = prep.b
+        infinite = np.isinf(b0)
+        if infinite.any():
+            return self._two_phase_finite(prep, infinite)
         m, n = prep.A.shape
         nm = n + m
         flipped = b0 < 0
@@ -510,6 +516,29 @@ class SimplexSolver:
             export_ok=not (basis >= nm).any(),
         )
         return SolveStatus.OPTIMAL, y, duals, total_iters, state
+
+    def _two_phase_finite(self, prep: _Prepared, infinite: np.ndarray):
+        """:meth:`_two_phase` on the rows whose right-hand side is finite.
+
+        A ``<=`` row with a ``+inf`` right-hand side holds for every
+        point, so it is dropped (dual 0); a ``-inf`` one, or an
+        infinite equality, holds for none, so the LP is infeasible.
+        Kept in the tableau, an infinite right-hand side would turn the
+        phase-1 objective into NaN and hide the infeasibility.
+        """
+        if (prep.b[infinite] < 0).any() or prep.is_eq[infinite].any():
+            return SolveStatus.INFEASIBLE, None, None, 0, None
+        kept = ~infinite
+        status, y, duals, iters, state = self._two_phase(replace(
+            prep, A=prep.A[kept], b=prep.b[kept], is_eq=prep.is_eq[kept]
+        ))
+        if status is not SolveStatus.OPTIMAL:
+            return status, y, duals, iters, state
+        full = np.zeros(prep.b.size)
+        full[kept] = duals
+        # A warm token must span every row, so this tableau exports none.
+        state = replace(state, export_ok=False, kept=kept)
+        return status, y, full, iters, state
 
     # -- warm start ---------------------------------------------------------------
 
@@ -767,7 +796,13 @@ class SimplexSolver:
             R = np.where(pos | neg, -x_b[:, None] / U, np.nan)
         lo = np.where(pos, R, -_INF).max(axis=0)
         hi = np.where(neg, R, _INF).min(axis=0)
-        return np.column_stack([lo, hi])
+        ranges = np.column_stack([lo, hi])
+        if state.kept is None:
+            return ranges
+        # A dropped +inf row stays slack under any finite change.
+        full = np.tile([-_INF, _INF], (state.kept.size, 1))
+        full[state.kept] = ranges
+        return full
 
     # -- recovery -------------------------------------------------------------------
 

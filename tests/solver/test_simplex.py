@@ -180,3 +180,54 @@ class TestRandomizedAgainstScipy:
         assert r_sx.status == r_sp.status
         if r_sp.ok:
             assert r_sx.objective == pytest.approx(r_sp.objective, abs=1e-6)
+
+
+class TestInfiniteRhs:
+    """An infinite right-hand side never reaches the tableau: a ``+inf``
+    row is dropped with dual 0, a ``-inf`` row proves infeasibility."""
+
+    BASE = dict(
+        c=[1.0, 2.0], A_eq=[[1.0, -1.0]], b_eq=[1.0], ub=[10.0, np.inf]
+    )
+
+    def test_plus_inf_rows_change_no_byte(self):
+        ref = SimplexSolver().solve(
+            _sf(A_ub=[[-1.0, -1.0]], b_ub=[-3.0], **self.BASE), ranging=True
+        )
+        with np.errstate(all="raise"):
+            res = SimplexSolver().solve(_sf(
+                A_ub=[[5.0, 7.0], [-1.0, -1.0], [1.0, 0.0]],
+                b_ub=[np.inf, -3.0, np.inf],
+                **self.BASE,
+            ), ranging=True)
+        assert res.status is SolveStatus.OPTIMAL
+        assert res.x.tobytes() == ref.x.tobytes()
+        assert res.objective == ref.objective
+        assert res.duals_ub.tolist() == [0.0, ref.duals_ub[0], 0.0]
+        assert res.duals_eq.tobytes() == ref.duals_eq.tobytes()
+        assert res.rhs_range_ub[1].tobytes() == ref.rhs_range_ub[0].tobytes()
+        assert res.rhs_range_ub[[0, 2]].tolist() == [[-np.inf, np.inf]] * 2
+        assert res.rhs_range_eq.tobytes() == ref.rhs_range_eq.tobytes()
+
+    @pytest.mark.parametrize("A_eq, b_eq", [(None, None), ([[1.0, -1.0]], [1.0])])
+    def test_minus_inf_row_beside_a_plus_inf_row(self, A_eq, b_eq):
+        # min x + 2y s.t. x + y <= inf, y <= -inf: once a NaN phase-1
+        # objective, read as feasible.
+        sf = _sf(
+            c=[1.0, 2.0], A_ub=[[1.0, 1.0], [0.0, 1.0]],
+            b_ub=[np.inf, -np.inf], A_eq=A_eq, b_eq=b_eq,
+        )
+        with np.errstate(all="raise"):
+            res, warm = SimplexSolver().solve_warm(sf)
+        assert res.status is SolveStatus.INFEASIBLE
+        assert warm is None
+
+    def test_infinite_equality_is_infeasible(self):
+        res = SimplexSolver().solve(_sf(c=[1.0], A_eq=[[1.0]], b_eq=[np.inf]))
+        assert res.status is SolveStatus.INFEASIBLE
+
+    def test_dropped_rows_export_no_warm_token(self):
+        res, warm = SimplexSolver().solve_warm(_sf(
+            A_ub=[[-1.0, -1.0], [1.0, 1.0]], b_ub=[-3.0, np.inf], **self.BASE
+        ))
+        assert res.status is SolveStatus.OPTIMAL and warm is None
